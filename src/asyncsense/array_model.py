@@ -167,6 +167,19 @@ def project_constraints(params: ScenarioParams) -> ScenarioParams:
     return replace(params, d=params.d - params.d.mean(), phi_o=params.phi_o - params.phi_o.mean())
 
 
+def gains_from_normals(z: np.ndarray, dist: GainDistribution,
+                       constrained: bool = False) -> np.ndarray:
+    """Gains d = sqrt(p_d/2) (z_re + j z_im) from standard normals z of shape (..., 2, T).
+
+    constrained=True removes the mean over the last axis.
+    """
+    scale = np.sqrt(dist.p_d / 2.0)
+    d = scale * (z[..., 0, :] + 1j * z[..., 1, :])
+    if constrained:
+        d = d - d.mean(axis=-1, keepdims=True)
+    return d
+
+
 def draw_dynamic_gains(t: int, dist: GainDistribution, seed, constrained: bool = False) -> np.ndarray:
     """Draw T i.i.d. circularly symmetric complex Gaussian gains, E|d_t|^2 = p_d.
 
@@ -175,12 +188,20 @@ def draw_dynamic_gains(t: int, dist: GainDistribution, seed, constrained: bool =
     """
     if t < 2:
         raise ValueError(f"need at least 2 snapshots, got {t}")
-    rng = as_rng(seed)
-    scale = np.sqrt(dist.p_d / 2.0)
-    d = scale * (rng.standard_normal(t) + 1j * rng.standard_normal(t))
-    if constrained:
-        d = d - d.mean()
-    return d
+    return gains_from_normals(as_rng(seed).standard_normal((2, t)), dist, constrained)
+
+
+def synthesize_batch(geom: ArrayGeometry, theta_d: float, h_s: np.ndarray, d: np.ndarray,
+                     phi_o: np.ndarray, sigma2: float, noise: np.ndarray) -> np.ndarray:
+    """Noisy CSI blocks (n, M, T) for n gain and phase sequences sharing theta_d and h_s.
+
+    d and phi_o are (n, T); noise holds standard normals (n, 2, M, T), real
+    parts first, scaled to variance sigma2 per real component.
+    """
+    a = steering_vector(geom, theta_d)
+    clean = (h_s[None, :, None] + a[None, :, None] * d[:, None, :]) \
+        * np.exp(1j * phi_o)[:, None, :]
+    return clean + np.sqrt(sigma2) * (noise[:, 0] + 1j * noise[:, 1])
 
 
 def synthesize_csi(geom: ArrayGeometry, params: ScenarioParams, seed) -> CsiBlock:
@@ -191,9 +212,6 @@ def synthesize_csi(geom: ArrayGeometry, params: ScenarioParams, seed) -> CsiBloc
     """
     if params.m != geom.m:
         raise ValueError(f"h_s length {params.m} does not match geometry m={geom.m}")
-    rng = as_rng(seed)
-    a = steering_vector(geom, params.theta_d)
-    clean = (params.h_s[:, None] + np.outer(a, params.d)) * np.exp(1j * params.phi_o)[None, :]
-    shape = (geom.m, params.t)
-    noise = np.sqrt(params.sigma2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return CsiBlock(clean + noise)
+    noise = as_rng(seed).standard_normal((1, 2, geom.m, params.t))
+    return CsiBlock(synthesize_batch(geom, params.theta_d, params.h_s, params.d[None],
+                                     params.phi_o[None], params.sigma2, noise)[0])

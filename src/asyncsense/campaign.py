@@ -9,32 +9,38 @@ existing streams):
     SeedSequence(master, spawn_key=(3, point))         finite-T CGS bound
     SeedSequence(master, spawn_key=(4, 0))             verification suites
 
-All reductions over trials run in trial order through math.fsum, so results
-are byte-stable for a given (config, seed) regardless of the worker count.
+Estimator trials run in chunks of CHUNK_TRIALS stacked blocks.  Each trial
+draws from its own stream in its own order and the stacked arithmetic is per
+trial, and reductions over trials run through math.fsum, so the CSV is
+byte-stable for a given (config, seed) whatever the chunk size.
 
 SNR convention: SNR_dB = 10 log10(p_d * M / sigma2), the dynamic-path array
 SNR (|a|^2 = M), with sigma2 the per-real-component noise variance.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .array_model import (ArrayGeometry, GainDistribution, ScenarioParams,
-                          draw_dynamic_gains, steering_derivative, steering_vector,
-                          synthesize_csi)
+                          gains_from_normals, steering_derivative, steering_vector,
+                          synthesize_batch)
 from .bounds import ahrcrb_cgs, finite_t_hrcrb_cgs, hrcrb_theta, rho_theta, verify_hrcrb_chain
 from .config import CampaignConfig
 from .csvio import ResultRow
-from .estimator import EstimatorConfig, run_estimator
-from .exceptions import EstimationStageError
+from .estimator import EstimatorConfig, estimate_batch
 from .fisher import (constraint_basis, efim_theta_closed, efim_theta_schur,
                      fim_numeric_oracle, joint_fim, psi_block_inverse, reordered_blocks)
 from .rng import as_rng
 
 MAX_FAILURE_RATE = 0.05
+
+# Estimator trials stacked per chunk: large enough to amortise per-call
+# overhead, small enough that the real (chunk, 2(M-2), grid) MUSIC projection
+# stays a few MB.  Results do not depend on it.
+CHUNK_TRIALS = 32
 
 
 @dataclass(frozen=True)
@@ -91,38 +97,53 @@ def resolve_h_s(cfg: CampaignConfig) -> np.ndarray:
     return scale * (rng.standard_normal(cfg.m) + 1j * rng.standard_normal(cfg.m))
 
 
+def _trial_draws(cfg: CampaignConfig, point: int, trials: range):
+    """Fingerprints, gains d (n, T), phases phi (n, T) and noise normals (n, 2, M, T).
+
+    Each trial draws from its own stream in a fixed order: Re d, Im d, the
+    phase-walk steps, Re noise, Im noise.
+    """
+    t, m = cfg.t, cfg.m
+    z = np.empty((len(trials), 3 * t + 2 * m * t))
+    fingerprints = []
+    for k, trial in enumerate(trials):
+        ss = _trial_stream(cfg.seed, point, trial)
+        fingerprints.append(int(ss.generate_state(1)[0]))
+        np.random.default_rng(ss).standard_normal(out=z[k])
+    d = gains_from_normals(z[:, :2 * t].reshape(-1, 2, t), GainDistribution(cfg.p_d),
+                           constrained=True)
+    phi = (cfg.phi_walk_std * z[:, 2 * t:3 * t]).cumsum(axis=1)
+    phi -= phi.mean(axis=1, keepdims=True)
+    return fingerprints, d, phi, z[:, 3 * t:].reshape(-1, 2, m, t)
+
+
 def scenario_from_config(cfg: CampaignConfig, point: int = 0, trial: int = 0) -> ScenarioParams:
     """A concrete scenario draw (used by the fim/estimate CLI paths)."""
     h_s = resolve_h_s(cfg)
     sigma2 = sigma2_from_snr_db(cfg.snr_db[point], cfg.p_d, cfg.m)
-    rng = np.random.default_rng(_trial_stream(cfg.seed, point, trial))
-    d = draw_dynamic_gains(cfg.t, GainDistribution(cfg.p_d), rng, constrained=True)
-    phi = rng.normal(0.0, cfg.phi_walk_std, cfg.t).cumsum()
-    phi -= phi.mean()
-    return ScenarioParams(cfg.theta_d, h_s, d, phi, sigma2)
+    _, d, phi, _ = _trial_draws(cfg, point, range(trial, trial + 1))
+    return ScenarioParams(cfg.theta_d, h_s, d[0], phi[0], sigma2)
 
 
-def _one_trial(cfg: CampaignConfig, geom: ArrayGeometry, h_s: np.ndarray, sigma2: float,
-               ecfg: EstimatorConfig, point: int, trial: int) -> TrialResult:
-    ss = _trial_stream(cfg.seed, point, trial)
-    fingerprint = int(ss.generate_state(1)[0])
-    rng = np.random.default_rng(ss)
-    d = draw_dynamic_gains(cfg.t, GainDistribution(cfg.p_d), rng, constrained=True)
-    phi = rng.normal(0.0, cfg.phi_walk_std, cfg.t).cumsum()
-    phi -= phi.mean()
-    params = ScenarioParams(cfg.theta_d, h_s, d, phi, sigma2)
-    csi = synthesize_csi(geom, params, rng)
-    try:
-        est = run_estimator(csi, geom, ecfg)
-    except EstimationStageError as err:
-        return TrialResult(trial, fingerprint, math.nan, math.nan, math.nan,
-                           failed=True, diagnostics=err.stage)
+def _run_chunk(cfg: CampaignConfig, geom: ArrayGeometry, h_s: np.ndarray, sigma2: float,
+               ecfg: EstimatorConfig, point: int, trials: range) -> list:
+    fingerprints, d, phi, noise = _trial_draws(cfg, point, trials)
+    csi = synthesize_batch(geom, cfg.theta_d, h_s, d, phi, sigma2, noise)
+    est = estimate_batch(csi, geom, ecfg)
     theta_sq = (est.theta_hat - cfg.theta_d) ** 2
-    d_mse = float(np.mean(np.abs(est.d_hat - d) ** 2))
-    phi_mse = float(np.mean((est.phi_hat - phi) ** 2))
-    diag = est.diagnostics
-    return TrialResult(trial, fingerprint, theta_sq, d_mse, phi_mse,
-                       diagnostics=f"gap={diag.eigen_gap_ratio:.3g}")
+    d_mse = np.mean(np.abs(est.d_hat - d) ** 2, axis=1)
+    phi_mse = np.mean((est.phi_hat - phi) ** 2, axis=1)
+    results = []
+    for k, trial in enumerate(trials):
+        err = est.errors[k]
+        if err is not None:
+            results.append(TrialResult(trial, fingerprints[k], math.nan, math.nan, math.nan,
+                                       failed=True, diagnostics=err.stage))
+        else:
+            results.append(TrialResult(
+                trial, fingerprints[k], float(theta_sq[k]), float(d_mse[k]), float(phi_mse[k]),
+                diagnostics=f"gap={est.diagnostics[k].eigen_gap_ratio:.3g}"))
+    return results
 
 
 def _mean_and_stderr(values) -> tuple:
@@ -175,23 +196,18 @@ def run_campaign(cfg: CampaignConfig, keep_trials: bool = False) -> CampaignResu
                                   ft.mc_trials, cfg.seed))
 
         if cfg.mode == "estimator":
-            results = [None] * cfg.trials
-
-            def work(i, _point=point, _sigma2=sigma2):
-                results[i] = _one_trial(cfg, geom, h_s, _sigma2, ecfg, _point, i)
-
-            if cfg.threads <= 1:
-                for i in range(cfg.trials):
-                    work(i)
-            else:
-                with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                    list(pool.map(work, range(cfg.trials)))
-
+            results = []
+            for start in range(0, cfg.trials, CHUNK_TRIALS):
+                trials = range(start, min(start + CHUNK_TRIALS, cfg.trials))
+                results += _run_chunk(cfg, geom, h_s, sigma2, ecfg, point, trials)
             ok = [r for r in results if not r.failed]
             fail_rate = 1.0 - len(ok) / cfg.trials
             if fail_rate > MAX_FAILURE_RATE:
+                stages = sorted(Counter(r.diagnostics for r in results if r.failed).items())
+                by_stage = ", ".join(f"{stage}: {count}" for stage, count in stages)
                 raise RuntimeError(
-                    f"estimator failed on {fail_rate:.1%} of trials at {snr} dB; aborting"
+                    f"estimator failed on {fail_rate:.1%} of trials at SNR point {point} "
+                    f"({snr} dB), failures by stage: {by_stage}; aborting"
                 )
             for metric, attr in (("mse_theta", "theta_sq_err"),
                                  ("mse_d", "d_mse"),

@@ -39,7 +39,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=config_required, help="campaign config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
         p.add_argument("--format", default="csv", choices=["csv"], help="output format")
 
     common(sub.add_parser("fim", help="dump the joint FIM and constrained CRB for a scenario"))
@@ -62,8 +61,6 @@ def _load_config(args) -> CampaignConfig:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if overrides:
         from dataclasses import replace
         cfg = replace(cfg, **overrides)

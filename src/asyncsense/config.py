@@ -57,7 +57,6 @@ class CampaignConfig:
     refine: bool = True
     source_count: int = 2
     phi_walk_std: float = 0.5
-    threads: int = 1
     verify_trials: int = 2000
 
     def __post_init__(self):
@@ -73,7 +72,6 @@ class CampaignConfig:
         _check_int(self.finite_t_trials, "finite_t_trials", minimum=2)
         _check_int(self.mc_bound_trials, "mc_bound_trials", minimum=2)
         _check_int(self.verify_trials, "verify_trials", minimum=20)
-        _check_int(self.threads, "threads", minimum=1)
         _check_int(self.seed, "seed", minimum=0)
         try:
             object.__setattr__(self, "snr_db", tuple(float(x) for x in self.snr_db))

@@ -5,10 +5,12 @@ Six stages applied to one CSI block H (M x T):
 1. AoA by spectral MUSIC on the sample covariance H H^H / T (two-dimensional
    signal subspace: static channel plus dynamic steering vector).
 2. Beamspace split: A = a(theta_hat)/|a(theta_hat)|, B = orthonormal basis of
-   its nullspace (from the SVD of A).
+   its nullspace (the last M-1 columns of the Householder reflector that maps
+   A to -e_0).
 3. Nullspace projection H_p = B^H H removes the dynamic component.
-4. Phase offsets: maximal-ratio combining of H_p with the principal left
-   singular vector, angles unwrapped along time, mean removed.
+4. Phase offsets: maximal-ratio combining of H_p with its principal left
+   singular vector (the top eigenvector of H_p H_p^H), angles unwrapped along
+   time, mean removed.
 5. Phase compensation H_c = H diag(exp(-j phi_hat)).
 6. Gain combining d_hat = A^H H_c / |a(theta_hat)| followed by DC removal, so
    d_hat carries the model's units (the sqrt(M) combining gain is divided out).
@@ -17,6 +19,11 @@ The pseudospectrum peak is disambiguated between the dynamic and static
 directions by the temporal magnitude variance of the beam series: under pure
 phase offsets the static projection has constant magnitude while the dynamic
 path modulates it.
+
+Every stage works on a stack of n blocks, shape (n, M, T), with per-block
+LAPACK and BLAS calls, so a block's result does not depend on which other
+blocks share its stack.  :func:`estimate_batch` runs the pipeline on a stack;
+:func:`run_estimator` and the four stage functions run it as a stack of one.
 """
 
 import functools
@@ -25,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import find_peaks
 
-from .array_model import ArrayGeometry, CsiBlock, steering_matrix, steering_vector
+from .array_model import ArrayGeometry, CsiBlock, steering_matrix
 from .exceptions import DegenerateProjectionError, EstimationStageError
 
 # Peak value this far above its neighbours marks a numerical pole of the
@@ -36,6 +43,14 @@ _POLE_GUARD = 1e12
 # Diagnostic-only threshold on mean(signal eigenvalues) / mean(noise
 # eigenvalues) below which the block is flagged as having no dominant gap.
 _EIGEN_GAP_THRESHOLD = 2.0
+
+# The phase stage fails when the projection's largest singular value is at
+# most this fraction of |H|_F.
+_DEGENERATE_PROJECTION = 1e-10
+_DEGENERATE_MESSAGE = ("nullspace projection carries no static-path energy "
+                       "(static channel parallel to the estimated beam?)")
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -74,40 +89,89 @@ class EstimateResult:
     diagnostics: MusicDiagnostics = field(repr=False, default=None)
 
 
+@dataclass(frozen=True)
+class BatchEstimate:
+    """Pipeline output for a stack of n blocks, one row per block.
+
+    ``errors[k]`` is the stage-tagged failure of block k, or None.  Rows of
+    failed blocks hold NaN in ``phi_hat`` and ``d_hat`` (and in ``theta_hat``
+    when MUSIC itself failed) and ``diagnostics[k]`` is None when MUSIC failed.
+    """
+
+    theta_hat: np.ndarray            # (n,)
+    phi_hat: np.ndarray              # (n, T)
+    d_hat: np.ndarray                # (n, T)
+    diagnostics: tuple
+    errors: tuple
+
+    def result(self, k: int) -> EstimateResult:
+        return EstimateResult(theta_hat=float(self.theta_hat[k]), phi_hat=self.phi_hat[k],
+                              d_hat=self.d_hat[k], diagnostics=self.diagnostics[k])
+
+
 @functools.lru_cache(maxsize=8)
 def _aoa_grid(m: int, spacing: float, grid_points: int):
-    """Cell-centre angle grid on (-pi/2, pi/2) and its steering matrix (read-only)."""
+    """Cell-centre angle grid on (-pi/2, pi/2), its steering matrix (M x grid) and
+    that matrix's real parts stacked on its imaginary parts (2M x grid); read-only."""
     step = np.pi / grid_points
     grid = -np.pi / 2 + (np.arange(grid_points) + 0.5) * step
     manifold = steering_matrix(ArrayGeometry(m, spacing), grid)
-    grid.setflags(write=False)
-    manifold.setflags(write=False)
-    return grid, manifold
+    stacked = np.concatenate([manifold.real, manifold.imag])
+    for arr in (grid, manifold, stacked):
+        arr.setflags(write=False)
+    return grid, manifold, stacked
 
 
-def _refine_peak(grid: np.ndarray, spectrum: np.ndarray, i: int):
+def _hermitian(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return x.conj().transpose(0, 2, 1)
+
+
+def _select_peaks(spectrum: np.ndarray, count: int):
+    """The `count` highest local maxima (scipy.signal.find_peaks) of each
+    spectrum row, highest first.
+
+    Returns (index, valid), both (n, count); ``valid`` is True on a prefix of
+    each row, and rows with fewer maxima repeat their first pick after it.  A
+    row without any maximum takes its argmax.
+    """
+    index = np.empty((spectrum.shape[0], count), dtype=np.intp)
+    valid = np.zeros((spectrum.shape[0], count), dtype=bool)
+    for k, row in enumerate(spectrum):
+        peaks = find_peaks(row)[0]
+        if peaks.size == 0:
+            peaks = np.array([int(np.argmax(row))])
+        peaks = peaks[np.argsort(row[peaks])[::-1][:count]]
+        index[k, :peaks.size] = peaks
+        index[k, peaks.size:] = peaks[0]
+        valid[k, :peaks.size] = True
+    return index, valid
+
+
+def _refine_peaks(grid: np.ndarray, spectrum: np.ndarray, best: np.ndarray):
     """Parabolic (log-domain) peak interpolation with a pole guard.
 
-    Returns (theta, refined_flag).  Edge peaks and numerical poles of the
+    Returns (theta, refined) per row.  Edge peaks and numerical poles of the
     noiseless pseudospectrum are returned unrefined: the grid node is already
     the minimizer of the noise projection to machine precision.
     """
-    if i == 0 or i == grid.size - 1:
-        return grid[i], False
-    if spectrum[i] > _POLE_GUARD * max(spectrum[i - 1], spectrum[i + 1]):
-        return grid[i], False
-    lm, lc, lp = np.log(spectrum[i - 1:i + 2])
+    rows = np.arange(best.size)
+    last = grid.size - 1
+    below = spectrum[rows, np.maximum(best - 1, 0)]
+    peak = spectrum[rows, best]
+    above = spectrum[rows, np.minimum(best + 1, last)]
+    lm, lc, lp = np.log(below), np.log(peak), np.log(above)
     denom = lm - 2 * lc + lp
-    if denom >= 0:
-        return grid[i], False
-    delta = 0.5 * (lm - lp) / denom
-    return grid[i] + delta * (grid[1] - grid[0]), True
+    refined = ((best > 0) & (best < last)
+               & ~(peak > _POLE_GUARD * np.maximum(below, above)) & (denom < 0))
+    delta = 0.5 * (lm - lp) / np.where(refined, denom, -1.0)
+    theta = np.where(refined, grid[best] + delta * (grid[1] - grid[0]), grid[best])
+    return theta, refined
 
 
-def music_aoa(csi: CsiBlock, geom: ArrayGeometry, cfg: EstimatorConfig = EstimatorConfig()):
-    """MUSIC AoA estimate with peak disambiguation; returns (theta_hat, diagnostics)."""
-    h = csi.data
-    m, t = h.shape
+def _music(h: np.ndarray, geom: ArrayGeometry, cfg: EstimatorConfig):
+    """MUSIC on a stack of blocks; returns (theta_hat (n,), diagnostics tuple)."""
+    n, m, t = h.shape
     if m != geom.m:
         raise ValueError(f"CSI has {m} rows but geometry says m={geom.m}")
     if m <= cfg.source_count:
@@ -117,57 +181,146 @@ def music_aoa(csi: CsiBlock, geom: ArrayGeometry, cfg: EstimatorConfig = Estimat
         )
     if t < 3:
         raise ValueError(f"need at least 3 snapshots, got {t}")
-
-    cov = h @ h.conj().T / t
+    cov = h @ _hermitian(h) / t
     eigval, eigvec = np.linalg.eigh(cov)
     noise_dim = m - cfg.source_count
-    e_noise = eigvec[:, :noise_dim]
 
-    noise_floor = max(float(eigval[:noise_dim].mean()), np.finfo(float).tiny)
+    noise_floor = np.maximum(eigval[:, :noise_dim].mean(axis=1), _TINY)
     with np.errstate(over="ignore"):
-        gap_ratio = float(np.float64(eigval[noise_dim:].mean()) / noise_floor)
-    has_gap = gap_ratio > _EIGEN_GAP_THRESHOLD
+        gap_ratio = eigval[:, noise_dim:].mean(axis=1) / noise_floor
 
-    grid, manifold = _aoa_grid(geom.m, geom.spacing, cfg.grid_points)
-    proj = np.sum(np.abs(e_noise.conj().T @ manifold) ** 2, axis=0)
-    spectrum = 1.0 / np.maximum(proj, np.finfo(float).tiny)
+    grid, manifold, stacked = _aoa_grid(geom.m, geom.spacing, cfg.grid_points)
+    # |E_n^H a|^2 in real arithmetic: with E_n^H = P + jQ and a = C + jS,
+    # [P -Q; Q P] [C; S] stacks Re and Im of E_n^H a.  The noise-subspace form
+    # squares a small number at the peak, so the noiseless pole stays a pole;
+    # M - |E_s^H a|^2 would cancel instead.
+    e_h = _hermitian(eigvec[:, :, :noise_dim])
+    w = np.concatenate([np.concatenate([e_h.real, -e_h.imag], axis=2),
+                        np.concatenate([e_h.imag, e_h.real], axis=2)], axis=1)
+    z = w @ stacked
+    spectrum = 1.0 / np.maximum(np.einsum("nkg,nkg->ng", z, z), _TINY)
 
-    peaks, _ = find_peaks(spectrum)
-    if peaks.size == 0:
-        peaks = np.array([int(np.argmax(spectrum))])
-    peaks = peaks[np.argsort(spectrum[peaks])[::-1][:cfg.source_count]]
-
+    peaks, valid = _select_peaks(spectrum, cfg.source_count)
     # dynamic-vs-static disambiguation: the dynamic beam modulates |a^H h_t|
-    variances = np.empty(peaks.size)
-    for k, i in enumerate(peaks):
-        series = np.abs(manifold[:, i].conj() @ h) / m
-        variances[k] = series.var()
-    best = peaks[int(np.argmax(variances))]
+    beams = manifold.T[peaks].conj()
+    variances = np.where(valid, (np.abs(beams @ h) / m).var(axis=2), -np.inf)
+    best = peaks[np.arange(n), np.argmax(variances, axis=1)]
 
     if cfg.refine:
-        theta_hat, refined = _refine_peak(grid, spectrum, int(best))
+        theta_hat, refined = _refine_peaks(grid, spectrum, best)
     else:
-        theta_hat, refined = grid[best], False
+        theta_hat, refined = grid[best], np.zeros(n, dtype=bool)
 
-    diag = MusicDiagnostics(
-        eigenvalues=eigval,
-        peak_angles=grid[peaks],
-        peak_heights=spectrum[peaks],
-        peak_variances=variances,
-        eigen_gap_ratio=gap_ratio,
-        has_dominant_gap=has_gap,
-        refined=refined,
+    angles = grid[peaks]
+    heights = np.take_along_axis(spectrum, peaks, axis=1)
+    diags = tuple(
+        MusicDiagnostics(
+            eigenvalues=eigval[k],
+            peak_angles=angles[k, :c],
+            peak_heights=heights[k, :c],
+            peak_variances=variances[k, :c],
+            eigen_gap_ratio=ratio,
+            has_dominant_gap=ratio > _EIGEN_GAP_THRESHOLD,
+            refined=was_refined,
+        )
+        for k, (c, ratio, was_refined)
+        in enumerate(zip(valid.sum(axis=1).tolist(), gap_ratio.tolist(), refined.tolist()))
     )
-    return float(theta_hat), diag
+    return theta_hat, diags
+
+
+def _beamspace(theta_hat: np.ndarray, geom: ArrayGeometry):
+    """Unit beams A (n, M) and nullspace bases B (n, M, M-1) by Householder reflection."""
+    a = np.ascontiguousarray(steering_matrix(geom, theta_hat).T)
+    a_unit = a / np.linalg.norm(a, axis=1, keepdims=True)
+    # a_0 = 1 at the phase reference, so A_0 = 1/sqrt(M) is real and positive and
+    # v = A + e_0 gives the reflector I - v v^H / (1 + A_0) with A -> -e_0
+    v = a_unit.copy()
+    v[:, 0] += 1.0
+    b = np.eye(geom.m)[:, 1:] - v[:, :, None] * (a_unit[:, None, 1:].conj()
+                                                 / (1.0 + a_unit[:, :1, None]))
+    return a_unit, b
+
+
+def _phase_offsets(h: np.ndarray, b: np.ndarray):
+    """Phase offsets (n, T) and the mask of blocks whose projection is degenerate."""
+    h_p = _hermitian(b) @ h
+    lam, vec = np.linalg.eigh(h_p @ _hermitian(h_p))
+    norm = np.linalg.norm(h.reshape(h.shape[0], -1), axis=1)
+    degenerate = lam[:, -1] <= (_DEGENERATE_PROJECTION * norm) ** 2
+    h_q = (vec[:, None, :, -1].conj() @ h_p)[:, 0, :]
+    phi = np.unwrap(np.angle(h_q), axis=1)
+    return phi - phi.mean(axis=1, keepdims=True), degenerate
+
+
+def _gains(h: np.ndarray, a_unit: np.ndarray, phi_hat: np.ndarray):
+    """Phase-compensated dynamic-beam gains (n, T), DC removed."""
+    m = h.shape[1]
+    beam = (a_unit[:, None, :].conj() @ h)[:, 0, :]
+    d_hat = beam * np.exp(-1j * phi_hat) / np.sqrt(m)
+    return d_hat - d_hat.mean(axis=1, keepdims=True)
+
+
+def _stage(name: str, fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, np.linalg.LinAlgError) as err:
+        raise EstimationStageError(name, err) from err
+
+
+def _estimate_stack(h: np.ndarray, geom: ArrayGeometry, cfg: EstimatorConfig) -> BatchEstimate:
+    theta_hat, diags = _stage("music", _music, h, geom, cfg)
+    a_unit, b = _stage("beamspace", _beamspace, theta_hat, geom)
+    phi_hat, degenerate = _stage("phase", _phase_offsets, h, b)
+    d_hat = _stage("cgs", _gains, h, a_unit, phi_hat)
+    errors = [None] * len(h)
+    for k in np.flatnonzero(degenerate):
+        errors[k] = EstimationStageError("phase",
+                                         DegenerateProjectionError(_DEGENERATE_MESSAGE))
+        phi_hat[k] = d_hat[k] = np.nan
+    return BatchEstimate(theta_hat, phi_hat, d_hat, diags, tuple(errors))
+
+
+def estimate_batch(h: np.ndarray, geom: ArrayGeometry,
+                   cfg: EstimatorConfig = EstimatorConfig()) -> BatchEstimate:
+    """Run the pipeline on a stack of CSI blocks, shape (n, M, T).
+
+    A failure in one block is reported on its own row and leaves the other
+    rows as they are when each block runs alone.  When a stacked LAPACK call
+    fails as a whole, the stack is re-run one block at a time.
+    """
+    # one memory layout for every stack, so BLAS takes the same path for a
+    # block whatever its neighbours
+    h = np.ascontiguousarray(h, dtype=complex)
+    if h.ndim != 3:
+        raise ValueError("CSI stack must be 3-D (blocks x antennas x snapshots)")
+    try:
+        return _estimate_stack(h, geom, cfg)
+    except EstimationStageError as err:
+        if len(h) > 1:
+            parts = [estimate_batch(h[k:k + 1], geom, cfg) for k in range(len(h))]
+            return BatchEstimate(*(np.concatenate([getattr(p, name) for p in parts])
+                                   for name in ("theta_hat", "phi_hat", "d_hat")),
+                                 sum((p.diagnostics for p in parts), ()),
+                                 sum((p.errors for p in parts), ()))
+        nan = np.full((1, h.shape[2]), np.nan)
+        return BatchEstimate(np.full(1, np.nan), nan, nan.copy(), (None,), (err,))
+
+
+def _stack_of_one(csi: CsiBlock) -> np.ndarray:
+    return np.ascontiguousarray(csi.data[None])
+
+
+def music_aoa(csi: CsiBlock, geom: ArrayGeometry, cfg: EstimatorConfig = EstimatorConfig()):
+    """MUSIC AoA estimate with peak disambiguation; returns (theta_hat, diagnostics)."""
+    theta_hat, diags = _music(_stack_of_one(csi), geom, cfg)
+    return float(theta_hat[0]), diags[0]
 
 
 def beamspace_basis(theta_hat: float, geom: ArrayGeometry):
     """Unit dynamic-beam vector A and the orthonormal nullspace basis B (M x (M-1))."""
-    a = steering_vector(geom, theta_hat)
-    a_unit = a / np.linalg.norm(a)
-    u, _, _ = np.linalg.svd(a_unit[:, None], full_matrices=True)
-    # align the first left singular vector's phase with A so [A | B] is unitary
-    return a_unit, u[:, 1:]
+    a_unit, b = _beamspace(np.array([theta_hat], dtype=float), geom)
+    return a_unit[0], b[0]
 
 
 def estimate_phase_offsets(csi: CsiBlock, b: np.ndarray) -> np.ndarray:
@@ -177,17 +330,10 @@ def estimate_phase_offsets(csi: CsiBlock, b: np.ndarray) -> np.ndarray:
     vector, then unwrapped angles.  Valid while consecutive offsets differ by
     less than pi (unwrap assumption).
     """
-    h = csi.data
-    h_p = np.asarray(b, dtype=complex).conj().T @ h
-    u, s, _ = np.linalg.svd(h_p, full_matrices=False)
-    if s[0] <= 1e-10 * np.linalg.norm(h):
-        raise DegenerateProjectionError(
-            "nullspace projection carries no static-path energy "
-            "(static channel parallel to the estimated beam?)"
-        )
-    h_q = u[:, 0].conj() @ h_p
-    phi = np.unwrap(np.angle(h_q))
-    return phi - phi.mean()
+    phi, degenerate = _phase_offsets(_stack_of_one(csi), np.asarray(b, dtype=complex)[None])
+    if degenerate[0]:
+        raise DegenerateProjectionError(_DEGENERATE_MESSAGE)
+    return phi[0]
 
 
 def estimate_cgs(csi: CsiBlock, a_unit: np.ndarray, phi_hat: np.ndarray,
@@ -197,28 +343,15 @@ def estimate_cgs(csi: CsiBlock, a_unit: np.ndarray, phi_hat: np.ndarray,
     The combining gain |a| = sqrt(M) is divided out so d_hat estimates the
     gain sequence in the model's units.
     """
-    h_c = csi.data * np.exp(-1j * np.asarray(phi_hat))[None, :]
-    d_hat = (np.asarray(a_unit).conj() @ h_c) / np.sqrt(geom.m)
-    return d_hat - d_hat.mean()
+    return _gains(_stack_of_one(csi), np.asarray(a_unit, dtype=complex)[None],
+                  np.asarray(phi_hat, dtype=float)[None])[0]
 
 
 def run_estimator(csi: CsiBlock, geom: ArrayGeometry,
                   cfg: EstimatorConfig = EstimatorConfig()) -> EstimateResult:
     """Full pipeline; numerical failures are re-raised tagged with their stage."""
-    try:
-        theta_hat, diag = music_aoa(csi, geom, cfg)
-    except (ArithmeticError, np.linalg.LinAlgError) as err:
-        raise EstimationStageError("music", err) from err
-    try:
-        a_unit, b = beamspace_basis(theta_hat, geom)
-    except (ArithmeticError, np.linalg.LinAlgError) as err:
-        raise EstimationStageError("beamspace", err) from err
-    try:
-        phi_hat = estimate_phase_offsets(csi, b)
-    except (ArithmeticError, np.linalg.LinAlgError) as err:
-        raise EstimationStageError("phase", err) from err
-    try:
-        d_hat = estimate_cgs(csi, a_unit, phi_hat, geom)
-    except (ArithmeticError, np.linalg.LinAlgError) as err:
-        raise EstimationStageError("cgs", err) from err
-    return EstimateResult(theta_hat=theta_hat, phi_hat=phi_hat, d_hat=d_hat, diagnostics=diag)
+    est = estimate_batch(_stack_of_one(csi), geom, cfg)
+    err = est.errors[0]
+    if err is not None:
+        raise err from err.original
+    return est.result(0)

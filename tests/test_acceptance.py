@@ -13,6 +13,7 @@ from asyncsense import (ArrayGeometry, CampaignConfig, EstimatorConfig, GainDist
                         rho_theta, run_campaign, run_estimator, steering_derivative,
                         steering_vector, sufficiency_check, synthesize_csi,
                         verify_hrcrb_chain)
+import asyncsense.campaign as campaign_mod
 from asyncsense.fisher import ParamLayout
 from asyncsense.ofdm import make_reference_signal
 
@@ -214,16 +215,17 @@ def test_criterion_8_sufficiency():
             f"(limit {off_limit:.4f}), MSE ratio err {ratio_err:.2e}")
 
 
-def test_criterion_9_reproducibility(tmp_path):
-    cfg1 = CampaignConfig(m=8, t=64, snr_db=[10.0], trials=50, seed=CAMPAIGN_SEED,
-                          threads=1, finite_t=True, finite_t_trials=300)
-    cfg3 = CampaignConfig(m=8, t=64, snr_db=[10.0], trials=50, seed=CAMPAIGN_SEED,
-                          threads=3, finite_t=True, finite_t_trials=300)
+def test_criterion_9_reproducibility(tmp_path, monkeypatch):
+    # 50 trials: a partial last chunk at chunk sizes 7 and the default
+    cfg = CampaignConfig(m=8, t=64, snr_db=[10.0], trials=50, seed=CAMPAIGN_SEED,
+                         finite_t=True, finite_t_trials=300)
+    default_chunk = campaign_mod.CHUNK_TRIALS
     paths = []
-    for i, cfg in enumerate((cfg1, cfg1, cfg3)):
+    for i, chunk in enumerate((default_chunk, default_chunk, 1, 7)):
+        monkeypatch.setattr(campaign_mod, "CHUNK_TRIALS", chunk)
         p = tmp_path / f"run{i}.csv"
         emit_csv(run_campaign(cfg).rows, str(p))
         paths.append(p.read_bytes())
     _report(9, "byte-identical reproducibility",
-            paths[0] == paths[1] == paths[2],
-            f"{len(paths[0])} bytes, rerun and 3-thread run identical")
+            paths[0] == paths[1] == paths[2] == paths[3],
+            f"{len(paths[0])} bytes, rerun and chunk sizes 1 and 7 identical")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from asyncsense import (ArrayGeometry, CsiBlock, DegenerateProjectionError, Esti
                         beamspace_basis, draw_dynamic_gains, estimate_cgs,
                         estimate_phase_offsets, music_aoa, run_estimator, steering_vector,
                         synthesize_csi)
+from asyncsense.estimator import estimate_batch
 
 GRID = EstimatorConfig().grid_points
 GRID_STEP = np.pi / GRID
@@ -236,16 +239,74 @@ def test_pipeline_deterministic():
     np.testing.assert_array_equal(e1.d_hat, e2.d_hat)
 
 
-def test_pipeline_stage_tagging():
+def _degenerate_block(geom):
     # static channel exactly in the dynamic beam, no noise: phase stage degenerates
-    geom = ArrayGeometry(6)
     theta = _grid_angle(900)
     a = steering_vector(geom, theta)
     d = np.full(32, 0.5 + 0.2j) + np.linspace(0, 1, 32) * (0.3 - 0.1j)
     blk, _ = _noiseless_block(geom, theta, 3.0 * a, d - d.mean(), np.zeros(32))
+    return blk
+
+
+def _noisy_stack(geom, rng, n, t=32):
+    h_s = rng.standard_normal(geom.m) + 1j * rng.standard_normal(geom.m)
+    blocks = []
+    for _ in range(n):
+        params = ScenarioParams(0.4, h_s, draw_dynamic_gains(t, GainDistribution(1.0), rng),
+                                _phase_walk(rng, t), 0.3)
+        blocks.append(synthesize_csi(geom, params, rng).data)
+    return np.stack(blocks)
+
+
+def _assert_row_equals_solo(est, k, block, geom):
+    solo = run_estimator(CsiBlock(block), geom)
+    assert est.errors[k] is None
+    assert est.theta_hat[k] == solo.theta_hat
+    np.testing.assert_array_equal(est.phi_hat[k], solo.phi_hat)
+    np.testing.assert_array_equal(est.d_hat[k], solo.d_hat)
+    for f in dataclasses.fields(solo.diagnostics):
+        np.testing.assert_array_equal(getattr(est.diagnostics[k], f.name),
+                                      getattr(solo.diagnostics, f.name))
+
+
+def test_pipeline_stage_tagging():
+    geom = ArrayGeometry(6)
     with pytest.raises(EstimationStageError) as err:
-        run_estimator(blk, geom)
+        run_estimator(_degenerate_block(geom), geom)
     assert err.value.stage == "phase"
+    assert isinstance(err.value.original, DegenerateProjectionError)
+
+
+def test_batch_tags_degenerate_trial_on_its_own_row():
+    geom = ArrayGeometry(6)
+    stack = _noisy_stack(geom, np.random.default_rng(14), 5)
+    stack[2] = _degenerate_block(geom).data
+    est = estimate_batch(stack, geom)
+    assert est.errors[2].stage == "phase"
+    assert np.all(np.isnan(est.d_hat[2])) and np.all(np.isnan(est.phi_hat[2]))
+    for k in (0, 1, 3, 4):
+        _assert_row_equals_solo(est, k, stack[k], geom)
+
+
+def test_batch_reruns_stack_per_block_when_lapack_fails(monkeypatch):
+    # a stacked eigh that fails as a whole: only the block that caused it is tagged
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        if not np.all(np.isfinite(a)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(a)
+
+    geom = ArrayGeometry(6)
+    stack = _noisy_stack(geom, np.random.default_rng(15), 4)
+    stack[1, 3, 7] = np.nan
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    est = estimate_batch(stack, geom)
+    assert est.errors[1].stage == "music"
+    assert isinstance(est.errors[1].original, np.linalg.LinAlgError)
+    assert est.diagnostics[1] is None and np.isnan(est.theta_hat[1])
+    for k in (0, 2, 3):
+        _assert_row_equals_solo(est, k, stack[k], geom)
 
 
 def test_pipeline_mse_respects_cgs_bound(reference_scenario):

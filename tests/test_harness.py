@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +39,10 @@ def test_parse_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"m": 4, "t": 16, "snr_db": [10.0], "trials": 3, "bogus_key": 1}')
     with pytest.raises(ConfigError, match="bogus_key"):
+        parse_config(str(path))
+    # the worker-thread knob is gone from the schema
+    path.write_text('{"m": 4, "t": 16, "snr_db": [10.0], "trials": 3, "threads": 2}')
+    with pytest.raises(ConfigError, match="unknown field\\(s\\): threads"):
         parse_config(str(path))
 
 
@@ -126,21 +132,25 @@ def test_campaign_deterministic_rerun(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_campaign_thread_count_invariance(tmp_path):
-    single = run_campaign(_campaign_cfg(threads=1)).rows
-    pooled = run_campaign(_campaign_cfg(threads=3)).rows
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv(single, str(p1))
-    emit_csv(pooled, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
+def test_campaign_chunk_size_invariance(tmp_path, monkeypatch):
+    # 38 trials: a partial last chunk at every chunk size tried
+    cfg = _campaign_cfg(trials=38)
+    blobs = []
+    for chunk in (1, 7, campaign_mod.CHUNK_TRIALS):
+        monkeypatch.setattr(campaign_mod, "CHUNK_TRIALS", chunk)
+        path = tmp_path / f"chunk{chunk}.csv"
+        emit_csv(run_campaign(cfg).rows, str(path))
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_campaign_adding_trials_preserves_streams():
-    # counter-based per-trial seeding: trial k is the same in a longer run
-    short = run_campaign(_campaign_cfg(trials=3), keep_trials=True).trial_results[0]
-    long = run_campaign(_campaign_cfg(trials=6), keep_trials=True).trial_results[0]
-    for a, b in zip(short, long[:3]):
-        assert a.seed == b.seed and a.theta_sq_err == b.theta_sq_err
+    # counter-based per-trial seeding: trial k is the same in a longer run,
+    # also when the longer run puts it in another chunk
+    chunk = campaign_mod.CHUNK_TRIALS
+    short = run_campaign(_campaign_cfg(trials=chunk - 2), keep_trials=True).trial_results[0]
+    long = run_campaign(_campaign_cfg(trials=chunk + 3), keep_trials=True).trial_results[0]
+    assert short == long[:chunk - 2]
 
 
 def test_campaign_bounds_only_rows():
@@ -166,13 +176,43 @@ def test_campaign_estimator_rows_and_fail_rate():
     assert fail.value == 0.0
 
 
-def test_campaign_aborts_on_failures(monkeypatch):
-    def explode(*args, **kwargs):
-        raise EstimationStageError("music", ValueError("boom"))
+def _failing_estimator(monkeypatch, stage_of):
+    """Fail the campaign's i-th estimated trial in stage_of(i), counting across SNR points."""
+    real = campaign_mod.estimate_batch
+    counter = itertools.count()
 
-    monkeypatch.setattr(campaign_mod, "run_estimator", explode)
+    def estimate(h, geom, cfg):
+        est = real(h, geom, cfg)
+        stages = [stage_of(next(counter)) for _ in est.errors]
+        errors = tuple(EstimationStageError(stage, ValueError("boom")) if stage else err
+                       for stage, err in zip(stages, est.errors))
+        return dataclasses.replace(est, errors=errors)
+
+    monkeypatch.setattr(campaign_mod, "estimate_batch", estimate)
+
+
+def test_campaign_aborts_on_failures(monkeypatch):
+    _failing_estimator(monkeypatch, lambda i: "music")
     with pytest.raises(RuntimeError, match="aborting"):
         run_campaign(_campaign_cfg(trials=4))
+
+
+def test_campaign_abort_names_point_and_stages(monkeypatch):
+    # point 0 (trials 0-7) is clean; point 1 fails 6 of 8 trials
+    _failing_estimator(monkeypatch,
+                       lambda i: None if i < 8 else ("music", None, "phase", "phase")[i % 4])
+    with pytest.raises(RuntimeError, match=r"SNR point 1 \(10.0 dB\).*music: 2, phase: 4"):
+        run_campaign(_campaign_cfg(trials=8, snr_db=[20.0, 10.0]))
+
+
+def test_campaign_tolerates_failures_below_the_gate(monkeypatch):
+    _failing_estimator(monkeypatch, lambda i: "phase" if i == 33 else None)
+    res = run_campaign(_campaign_cfg(trials=40), keep_trials=True)
+    failed = [r for r in res.trial_results[0] if r.failed]
+    assert [(r.trial, r.diagnostics) for r in failed] == [(33, "phase")]
+    fail = [r for r in res.rows if r.metric == "estimator_fail_rate"][0]
+    assert fail.value == pytest.approx(1 / 40)
+    assert [r.trials for r in res.rows if r.metric.startswith("mse_")] == [39] * 3
 
 
 def test_campaign_verify_mode():
