@@ -20,19 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import (ArrayGeometry, GainDistribution, ScenarioParams,
-                          steering_derivative, steering_vector)
-from .exceptions import CollinearityError, DegenerateBoundError
-from .fisher import COLLINEARITY_RTOL, reordered_blocks
+from .array_model import ArrayGeometry, GainDistribution, ScenarioParams
+from .exceptions import DegenerateBoundError
+from .fisher import SteeringGeometry, reordered_blocks, steering_geometry
 from .rng import as_rng
 
 # Monte Carlo runs tolerate at most this fraction of discarded (singular or
 # non-positive-information) trials before the whole run is reported bad.
 MAX_DISCARD_RATE = 1e-3
-
-# Internal cross-check tolerance between the direct and the wedge-vector
-# (Binet-Cauchy) routes to Gamma / Delta / Xi.
-_WEDGE_RTOL = 1e-10
 
 _CHUNK_ELEMENTS = 2 ** 21
 
@@ -82,65 +77,15 @@ class ChainCheckReport:
     scalar_jensen_violation: float
 
 
-def _geometry_scalars(geom: ArrayGeometry, theta: float, h_s: np.ndarray):
-    h_s = np.asarray(h_s, dtype=complex)
-    if h_s.size != geom.m:
-        raise ValueError(f"h_s length {h_s.size} does not match geometry m={geom.m}")
-    a = steering_vector(geom, theta)
-    b = steering_derivative(geom, theta)
-    ab = np.vdot(a, b)
-    ah = np.vdot(a, h_s)
-    bh = np.vdot(b, h_s)
-    return h_s, a, b, ab, ah, bh
-
-
 def rho_theta(geom: ArrayGeometry, theta: float, h_s: np.ndarray) -> RhoDecomposition:
-    """Compute Gamma, Delta, Xi and rho, cross-checked against the wedge-vector route.
+    """Gamma, Delta, Xi and rho = (1 - Xi / (2 Gamma Delta))^-1.
 
-    Direct:  Gamma = |a|^2|b|^2 - |a^H b|^2,  Delta = |a|^2|h_s|^2 - |a^H h_s|^2,
-             Xi = |(b^H a a^H - a^H a b^H) h_s|^2.
-    Wedge:   Gamma = |vec(a b^T - b a^T)|^2 / 2, Delta likewise with h_s, and
-             Xi = |<vec(a h^T - h a^T), vec(b a^T - a b^T)>|^2 / 4.
+    Gamma = |a|^2|b|^2 - |a^H b|^2,  Delta = |a|^2|h_s|^2 - |a^H h_s|^2,
+    Xi = |(b^H a a^H - a^H a b^H) h_s|^2.
     """
-    h_s, a, b, ab, ah, bh = _geometry_scalars(geom, theta, h_s)
-    m = geom.m
-
-    gamma = m * float(np.vdot(b, b).real) - abs(ab) ** 2
-    delta = m * float(np.vdot(h_s, h_s).real) - abs(ah) ** 2
-    xi = abs(np.conj(ab) * ah - m * bh) ** 2
-
-    lam_ab = (np.outer(a, b) - np.outer(b, a)).ravel()
-    lam_ah = (np.outer(a, h_s) - np.outer(h_s, a)).ravel()
-    lam_ba = (np.outer(b, a) - np.outer(a, b)).ravel()
-    gamma_w = 0.5 * float(np.vdot(lam_ab, lam_ab).real)
-    delta_w = 0.5 * float(np.vdot(lam_ah, lam_ah).real)
-    xi_w = 0.25 * abs(np.vdot(lam_ah, lam_ba)) ** 2
-
-    scale = m * float(np.vdot(h_s, h_s).real)
-    if delta <= COLLINEARITY_RTOL * max(scale, np.finfo(float).tiny):
-        raise CollinearityError(f"h_s is collinear with a(theta) (Delta={delta:.3e})")
-
-    for direct, wedge, name in ((gamma, gamma_w, "Gamma"), (delta, delta_w, "Delta")):
-        if abs(direct - wedge) > _WEDGE_RTOL * max(abs(direct), abs(wedge)):
-            raise ArithmeticError(f"{name}: direct and wedge routes disagree")
-    if abs(xi - xi_w) > _WEDGE_RTOL * max(abs(xi), abs(xi_w), gamma * delta * 1e-14):
-        raise ArithmeticError("Xi: direct and wedge routes disagree")
-
-    rho = 1.0 / (1.0 - xi / (2.0 * gamma * delta))
-    return RhoDecomposition(gamma=gamma, delta=delta, xi=xi, rho=rho)
-
-
-def _efim_theta_draws(geom: ArrayGeometry, theta: float, h_s: np.ndarray,
-                      sigma2: float, d: np.ndarray) -> np.ndarray:
-    """Equivalent information of theta_d for a batch of gain draws, shape (n, T)."""
-    h_s, a, b, ab, ah, bh = _geometry_scalars(geom, theta, h_s)
-    m = geom.m
-    gamma = m * float(np.vdot(b, b).real) - abs(ab) ** 2
-    delta = m * float(np.vdot(h_s, h_s).real) - abs(ah) ** 2
-    c = np.conj(ab) * ah - m * bh
-    first = np.sum(np.abs(d) ** 2, axis=-1) * gamma / (sigma2 * m)
-    second = np.sum(np.imag(c * np.conj(d)) ** 2, axis=-1) / (sigma2 * m * delta)
-    return first - second
+    g = steering_geometry(geom, theta, h_s).checked()
+    rho = 1.0 / (1.0 - g.xi / (2.0 * g.gamma * g.delta))
+    return RhoDecomposition(gamma=g.gamma, delta=g.delta, xi=g.xi, rho=rho)
 
 
 def hrcrb_theta(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma2: float,
@@ -157,10 +102,11 @@ def hrcrb_theta(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma2: floa
         raise ValueError(f"need T >= 1, got {t}")
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    dec = rho_theta(geom, theta, h_s)
+    g = steering_geometry(geom, theta, h_s).checked()
+    m = geom.m
 
     if mode == "closed-form":
-        expected_info = t * dist.p_d * (dec.gamma - dec.xi / (2 * dec.delta)) / (sigma2 * geom.m)
+        expected_info = t * dist.p_d * (g.gamma - g.xi / (2 * g.delta)) / (sigma2 * m)
         if expected_info <= 0:
             raise DegenerateBoundError(
                 f"expected information of theta_d is not positive ({expected_info:.3e})"
@@ -175,7 +121,10 @@ def hrcrb_theta(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma2: floa
     d = np.sqrt(dist.p_d / 2.0) * (
         rng.standard_normal((trials, t)) + 1j * rng.standard_normal((trials, t))
     )
-    info = _efim_theta_draws(geom, theta, np.asarray(h_s, complex), sigma2, d)
+    # equivalent information of theta_d for each draw
+    c = np.conj(g.ab) * g.ah - m * g.bh
+    info = (np.sum(np.abs(d) ** 2, axis=-1) * g.gamma / (sigma2 * m)
+            - np.sum(np.imag(c * np.conj(d)) ** 2, axis=-1) / (sigma2 * m * g.delta))
     good = info > 0
     discard_rate = 1.0 - good.sum() / trials
     if discard_rate > MAX_DISCARD_RATE:
@@ -200,29 +149,22 @@ def ahrcrb_cgs(geom: ArrayGeometry, theta: float, h_s: np.ndarray,
     """
     if sigma2 <= 0 or p_d <= 0:
         raise ValueError("sigma2 and p_d must be positive")
-    h_s, a, b, ab, ah, bh = _geometry_scalars(geom, theta, h_s)
+    g = steering_geometry(geom, theta, h_s).checked()
     m = geom.m
-    delta = m * float(np.vdot(h_s, h_s).real) - abs(ah) ** 2
-    scale = m * float(np.vdot(h_s, h_s).real)
-    if delta <= COLLINEARITY_RTOL * max(scale, np.finfo(float).tiny):
-        raise CollinearityError(f"h_s is collinear with a(theta) (Delta={delta:.3e})")
-    value = 2.0 * sigma2 / m + sigma2 / m * (abs(ah) ** 2 + m * m * p_d) / delta
+    value = 2.0 * sigma2 / m + sigma2 / m * (abs(g.ah) ** 2 + m * m * p_d) / g.delta
     return BoundReport(value=float(value), method="closed-form")
 
 
-def _cgs_trace_draws(geom: ArrayGeometry, theta: float, h_s: np.ndarray,
-                     sigma2: float, d: np.ndarray):
+def _cgs_trace_draws(g: SteeringGeometry, h_s: np.ndarray, sigma2: float, d: np.ndarray):
     """Per-trial (1/T) sum_t Tr([J_psi_t^equ^-1]_{1:2,1:2}) for draws d of shape (n, T).
 
     Vectorized over trials and snapshots; the 3x3 inverses use cofactor
     expansion so singular trials can be flagged instead of raising.
     Returns (values, valid_mask).
     """
-    h_s, a, b, ab, ah, bh = _geometry_scalars(geom, theta, h_s)
-    m = geom.m
-    n, t = d.shape
+    ab, ah, bh, delta = g.ab, g.ah, g.bh, g.delta
+    m = h_s.size
     s2 = sigma2
-    delta = m * float(np.vdot(h_s, h_s).real) - abs(ah) ** 2
 
     chi = ah + m * d
     q = float(np.vdot(h_s, h_s).real) + m * np.abs(d) ** 2 + 2 * np.real(np.conj(ah) * d)
@@ -234,7 +176,7 @@ def _cgs_trace_draws(geom: ArrayGeometry, theta: float, h_s: np.ndarray,
     vw = v1 * chi.imag - v2 * chi.real + v3 * m
     corr = s2 / (m * delta) * vw ** 2 + s2 / m * (v1 ** 2 + v2 ** 2)
 
-    j_tt = float(np.vdot(b, b).real) / s2 * np.sum(np.abs(d) ** 2, axis=1)
+    j_tt = float(np.vdot(g.b, g.b).real) / s2 * np.sum(np.abs(d) ** 2, axis=1)
     loo = j_tt[:, None] - (np.sum(corr, axis=1)[:, None] - corr)
     valid = np.all(loo > 0, axis=1)
     loo_safe = np.where(loo > 0, loo, 1.0)
@@ -266,10 +208,8 @@ def finite_t_hrcrb_cgs(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma
         raise ValueError("need at least 2 trials")
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    h_arr, _, _, _, ah, _ = _geometry_scalars(geom, theta, h_s)
-    scale = geom.m * float(np.vdot(h_arr, h_arr).real)
-    if scale - abs(ah) ** 2 <= COLLINEARITY_RTOL * max(scale, np.finfo(float).tiny):
-        raise CollinearityError("h_s is collinear with a(theta)")
+    h_s = np.asarray(h_s, dtype=complex)
+    g = steering_geometry(geom, theta, h_s).checked()
 
     rng = as_rng(seed)
     d = np.sqrt(dist.p_d / 2.0) * (
@@ -280,7 +220,7 @@ def finite_t_hrcrb_cgs(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma
     valid = np.empty(trials, dtype=bool)
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
-        values[lo:hi], valid[lo:hi] = _cgs_trace_draws(geom, theta, h_arr, sigma2, d[lo:hi])
+        values[lo:hi], valid[lo:hi] = _cgs_trace_draws(g, h_s, sigma2, d[lo:hi])
 
     discard_rate = 1.0 - valid.sum() / trials
     if discard_rate > MAX_DISCARD_RATE:
@@ -322,9 +262,8 @@ def verify_hrcrb_chain(geom: ArrayGeometry, t: int, dist: GainDistribution, sigm
         theta = rng.uniform(-1.2, 1.2)
         while True:
             h_s = (rng.standard_normal(geom.m) + 1j * rng.standard_normal(geom.m)) / np.sqrt(2)
-            delta = geom.m * float(np.vdot(h_s, h_s).real) - abs(
-                np.vdot(steering_vector(geom, theta), h_s)) ** 2
-            if delta > 1e-3 * geom.m * float(np.vdot(h_s, h_s).real):
+            g = steering_geometry(geom, theta, h_s)
+            if g.delta > 1e-3 * g.scale:
                 break
         js = np.empty((draws_per, dim, dim))
         for i in range(draws_per):

@@ -7,7 +7,7 @@ existing streams):
     SeedSequence(master, spawn_key=(1, 0))             campaign-level h_s draw
     SeedSequence(master, spawn_key=(2, point))         Monte Carlo AoA bound
     SeedSequence(master, spawn_key=(3, point))         finite-T CGS bound
-    SeedSequence(master, spawn_key=(4, 0))             verification suites
+    SeedSequence(master, spawn_key=(4, 0))             verification suites (`verify`)
 
 Estimator trials run in chunks of CHUNK_TRIALS stacked blocks.  Each trial
 draws from its own stream in its own order and the stacked arithmetic is per
@@ -31,8 +31,9 @@ from .bounds import ahrcrb_cgs, finite_t_hrcrb_cgs, hrcrb_theta, rho_theta, veri
 from .config import CampaignConfig
 from .csvio import ResultRow
 from .estimator import EstimatorConfig, estimate_batch
-from .fisher import (constraint_basis, efim_theta_closed, efim_theta_schur,
-                     fim_numeric_oracle, joint_fim, psi_block_inverse, reordered_blocks)
+from .fisher import (ParamLayout, constraint_basis, efim_theta_closed, efim_theta_schur,
+                     fim_numeric_oracle, joint_fim, psi_block_inverse, reordered_blocks,
+                     steering_geometry)
 from .rng import as_rng
 
 MAX_FAILURE_RATE = 0.05
@@ -71,7 +72,6 @@ class VerificationReport:
 @dataclass(frozen=True)
 class CampaignResult:
     rows: tuple
-    verify: VerificationReport = None
     trial_results: dict = None
 
 
@@ -157,16 +157,6 @@ def _mean_and_stderr(values) -> tuple:
 
 def run_campaign(cfg: CampaignConfig, keep_trials: bool = False) -> CampaignResult:
     """Execute the configured campaign; deterministic for fixed (config, seed)."""
-    if cfg.mode == "verify":
-        report = run_verification(m=cfg.m, t=min(cfg.t, 8), p_d=cfg.p_d,
-                                  trials=cfg.verify_trials, seed=cfg.seed,
-                                  spacing=cfg.spacing)
-        rows = tuple(
-            ResultRow(None, f"verify_{c.name}", c.worst, None, cfg.verify_trials, cfg.seed)
-            for c in report.checks
-        )
-        return CampaignResult(rows=rows, verify=report)
-
     geom = ArrayGeometry(cfg.m, cfg.spacing)
     h_s = resolve_h_s(cfg)
     dist = GainDistribution(cfg.p_d)
@@ -223,41 +213,39 @@ def run_campaign(cfg: CampaignConfig, keep_trials: bool = False) -> CampaignResu
 
 
 # ---------------------------------------------------------------------------
-# verification suites (the `verify` CLI mode)
+# property checks: the `verify` command runs them at desk scale, the
+# acceptance tests at full scale (trials=10**4 is full scale for every count)
 
-def _random_scenario(rng, m_range=(2, 6), t_range=(2, 8), spacing=0.5):
+def random_scenario(rng, m_range=(2, 6), t_range=(2, 8)):
+    """Random admissible scenario; h_s is redrawn until Delta exceeds 5% of its scale.
+
+    The Delta margin keeps the per-snapshot blocks well conditioned, matching
+    the preconditions of the closed forms under test.
+    """
     m = int(rng.integers(m_range[0], m_range[1] + 1))
     t = int(rng.integers(t_range[0], t_range[1] + 1))
-    geom = ArrayGeometry(m, spacing)
+    geom = ArrayGeometry(m)
     theta = float(rng.uniform(-1.3, 1.3))
-    a = steering_vector(geom, theta)
     while True:
-        # keep Delta comfortably positive so closed forms stay well conditioned
         h_s = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
-        scale = m * float(np.vdot(h_s, h_s).real)
-        if scale - abs(np.vdot(a, h_s)) ** 2 > 0.05 * scale:
+        g = steering_geometry(geom, theta, h_s)
+        if g.delta > 0.05 * g.scale:
             break
     d = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2)
-    phi = rng.uniform(-np.pi / 4, np.pi / 4, t)
+    phi = rng.uniform(-np.pi / 3, np.pi / 3, t)
     sigma2 = float(rng.uniform(0.2, 2.0))
     return geom, ScenarioParams(theta, h_s, d, phi, sigma2)
 
 
-def _orthogonal_static(geom, theta, rng):
-    """h_s orthogonal to span{a, b}: the Xi = 0 / rho = 1 configuration."""
-    a = steering_vector(geom, theta)
-    b = steering_derivative(geom, theta)
-    q, _ = np.linalg.qr(np.column_stack([a, b]))
-    h = rng.standard_normal(geom.m) + 1j * rng.standard_normal(geom.m)
-    h = h - q @ (q.conj().T @ h)
-    norm = np.linalg.norm(h)
-    if norm < 1e-6:
-        raise ArithmeticError("degenerate orthogonal draw")
-    return h / norm * np.sqrt(geom.m)
-
-
 def check_rho_range(trials: int, seed) -> VerifyCheck:
-    """1 <= rho <= 2 and Xi <= Gamma*Delta over random draws; rho = 1 at Xi = 0."""
+    """Xi <= Gamma Delta and 1 <= rho <= 2 over random draws; rho = 1 at Xi = 0.
+
+    The worst is the largest of the relative Xi excess, the unnormalised range
+    violation and |rho - 1| at Xi = 0.  Rounding in Delta grows with
+    |a|^2 |h_s|^2 / Delta, which is heavy-tailed over random h_s, so a 1e-12
+    allowance is too tight for arbitrary seeds; acceptance criterion 3 pins
+    1e-12 at its own seed.
+    """
     rng = as_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -265,35 +253,33 @@ def check_rho_range(trials: int, seed) -> VerifyCheck:
         geom = ArrayGeometry(m)
         theta = float(rng.uniform(-1.4, 1.4))
         h_s = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        try:
-            dec = rho_theta(geom, theta, h_s)
-        except ArithmeticError:
-            continue
-        worst = max(worst,
-                    (dec.xi - dec.gamma * dec.delta) / (dec.gamma * dec.delta),
-                    1.0 - dec.rho,
-                    (dec.rho - 2.0) / 2.0)
-    for _ in range(50):
+        dec = rho_theta(geom, theta, h_s)
+        worst = max(worst, (dec.xi - dec.gamma * dec.delta) / (dec.gamma * dec.delta),
+                    1.0 - dec.rho, dec.rho - 2.0)
+    for _ in range(max(10, trials // 100)):
+        # h_s orthogonal to span{a, b}: the Xi = 0 configuration
         m = int(rng.integers(3, 17))
         geom = ArrayGeometry(m)
         theta = float(rng.uniform(-1.4, 1.4))
-        h_s = _orthogonal_static(geom, theta, rng)
-        dec = rho_theta(geom, theta, h_s)
-        worst = max(worst, abs(dec.rho - 1.0))
-    return VerifyCheck("rho_range", worst <= 1e-10, worst, 1e-10)
+        q, _ = np.linalg.qr(np.column_stack([steering_vector(geom, theta),
+                                             steering_derivative(geom, theta)]))
+        h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        h -= q @ (q.conj().T @ h)
+        worst = max(worst, abs(rho_theta(geom, theta, h).rho - 1.0))
+    return VerifyCheck("rho_range", worst < 1e-10, worst, 1e-10)
 
 
 def check_fim_oracle(scenarios: int, seed) -> VerifyCheck:
-    """Closed-form joint FIM vs finite-difference oracle, entrywise."""
+    """Closed-form joint FIM vs finite-difference oracle, entrywise relative to the matrix scale."""
     rng = as_rng(seed)
     worst = 0.0
     for _ in range(scenarios):
-        geom, params = _random_scenario(rng)
+        geom, params = random_scenario(rng)
         closed = joint_fim(geom, params).data
         oracle = fim_numeric_oracle(geom, params).data
         scale = np.max(np.abs(closed))
         worst = max(worst, float(np.max(np.abs(closed - oracle) / (np.abs(closed) + scale))))
-    return VerifyCheck("fim_oracle", worst <= 1e-6, worst, 1e-6)
+    return VerifyCheck("fim_oracle", worst < 1e-6, worst, 1e-6)
 
 
 def check_schur_consistency(scenarios: int, seed) -> VerifyCheck:
@@ -301,66 +287,59 @@ def check_schur_consistency(scenarios: int, seed) -> VerifyCheck:
     rng = as_rng(seed)
     worst = 0.0
     for _ in range(scenarios):
-        geom, params = _random_scenario(rng, m_range=(3, 6), t_range=(2, 6))
+        geom, params = random_scenario(rng, m_range=(3, 6))
         schur = efim_theta_schur(geom, params)
         closed = efim_theta_closed(geom, params)
-        full = reordered_blocks(geom, params).assemble()
-        via_inverse = 1.0 / np.linalg.inv(full)[0, 0]
-        worst = max(worst,
-                    abs(schur - closed) / abs(schur),
-                    abs(schur - via_inverse) / abs(schur))
         ro = reordered_blocks(geom, params)
-        for t in range(params.t):
-            inv = psi_block_inverse(ro.blocks[t], geom, params, t)
-            worst = max(worst, float(np.max(np.abs(inv @ ro.blocks[t].j_psi - np.eye(3)))))
-    return VerifyCheck("schur_consistency", worst <= 1e-10, worst, 1e-10)
+        via_inverse = 1.0 / np.linalg.inv(ro.assemble())[0, 0]
+        worst = max(worst, abs(schur - closed) / abs(schur),
+                    abs(schur - via_inverse) / abs(schur))
+        for t, blk in enumerate(ro.blocks):
+            inv = psi_block_inverse(geom, params, t)
+            worst = max(worst, float(np.max(np.abs(inv @ blk.j_psi - np.eye(3)))))
+    return VerifyCheck("schur_consistency", worst < 1e-10, worst, 1e-10)
 
 
 def check_constraint_basis() -> VerifyCheck:
-    """U^T U = I, all-ones rows annihilated, and the hand-derived T=4 column."""
+    """U^T U = I, all-ones rows annihilated, and the hand-derived T=4 column exactly."""
     worst = 0.0
     for t in (2, 3, 8, 64):
-        basis = constraint_basis(3, t)
-        u = basis.u
+        u = constraint_basis(4, t).u
         worst = max(worst, float(np.max(np.abs(u.T @ u - np.eye(u.shape[1])))))
-        lay_rows = np.zeros((3, u.shape[0]))
-        m = basis.m
-        lay_rows[0, 1 + 2 * m: 1 + 2 * m + t] = 1.0
-        lay_rows[1, 1 + 2 * m + t: 1 + 2 * m + 2 * t] = 1.0
-        lay_rows[2, 1 + 2 * m + 2 * t:] = 1.0
-        worst = max(worst, float(np.max(np.abs(lay_rows @ u))))
-    u_sub = constraint_basis(2, 4).u[5:9, 5:6].ravel()
-    expected = np.array([-5.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0, 0.5])
-    worst = max(worst, float(np.max(np.abs(u_sub - expected))))
-    return VerifyCheck("constraint_basis", worst <= 1e-12, worst, 1e-12)
+        lay = ParamLayout(4, t)
+        for block in (lay.d_re, lay.d_im, lay.phi):
+            ones = np.zeros(u.shape[0])
+            ones[block] = 1.0
+            worst = max(worst, float(np.max(np.abs(ones @ u))))
+    column = constraint_basis(2, 4).u[ParamLayout(2, 4).d_re, 1 + 4]
+    hand = float(np.max(np.abs(column - np.array([-5 / 6, 1 / 6, 1 / 6, 1 / 2]))))
+    return VerifyCheck("constraint_basis", worst < 1e-12 and hand == 0.0,
+                       max(worst, hand), 1e-12)
 
 
 def check_hrcrb_chain(m: int, t: int, p_d: float, trials: int, seed,
                       spacing: float = 0.5) -> tuple:
+    """Floor and Jensen orderings, and the Schur identity, of the HRCRB chain."""
     geom = ArrayGeometry(m, spacing)
     report = verify_hrcrb_chain(geom, t, GainDistribution(p_d), sigma2=1.0,
                                 trials=trials, seed=seed,
                                 scenarios=max(2, min(20, trials // 100)))
     order_worst = max(report.max_floor_violation, report.max_jensen_violation,
                       report.scalar_jensen_violation)
-    return (
-        VerifyCheck("chain_orderings", order_worst <= 1e-10, order_worst, 1e-10),
-        VerifyCheck("chain_schur_identity", report.max_schur_rel_error <= 1e-9,
-                    report.max_schur_rel_error, 1e-9),
-    )
+    schur_worst = report.max_schur_rel_error
+    return (VerifyCheck("chain_orderings", order_worst < 1e-10, order_worst, 1e-10),
+            VerifyCheck("chain_schur_identity", schur_worst < 1e-9, schur_worst, 1e-9))
 
 
 def run_verification(m: int = 4, t: int = 4, p_d: float = 1.0, trials: int = 2000,
                      seed: int = 0, spacing: float = 0.5) -> VerificationReport:
-    """Desk-scale property suites (full-scale versions live in the acceptance tests)."""
-    base = _campaign_stream(seed, 4)
-    sub = base.spawn(3)
-    checks = [
+    """Every property check; trials=10**4 gives the acceptance tests' counts."""
+    sub = _campaign_stream(seed, 4).spawn(3)
+    checks = (
         check_rho_range(trials, sub[0]),
         check_fim_oracle(max(5, trials // 200), sub[1]),
         check_schur_consistency(max(10, trials // 100), sub[2]),
         check_constraint_basis(),
-    ]
-    checks.extend(check_hrcrb_chain(m, t, p_d, trials, _campaign_stream(seed, 4, 1),
-                                     spacing=spacing))
-    return VerificationReport(checks=tuple(checks), ok=all(c.passed for c in checks))
+        *check_hrcrb_chain(m, t, p_d, trials, _campaign_stream(seed, 4, 1), spacing=spacing),
+    )
+    return VerificationReport(checks=checks, ok=all(c.passed for c in checks))

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification failur
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,7 +40,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=config_required, help="campaign config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--format", default="csv", choices=["csv"], help="output format")
 
     common(sub.add_parser("fim", help="dump the joint FIM and constrained CRB for a scenario"))
     common(sub.add_parser("bounds", help="closed-form + Monte Carlo bounds over the SNR grid"))
@@ -56,22 +56,12 @@ def _build_parser() -> _Parser:
 
 def _load_config(args) -> CampaignConfig:
     cfg = parse_config(args.config)
-    overrides = {}
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out"] = args.out
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
+        cfg = replace(cfg, seed=args.seed)
     sys.stderr.write("# effective config:\n")
     for line in config_to_json(cfg).splitlines():
         sys.stderr.write(f"# {line}\n")
     return cfg
-
-
-def _out_path(cfg: CampaignConfig, args, default: str) -> str:
-    return args.out or cfg.out or default
 
 
 def _cmd_fim(args) -> int:
@@ -81,7 +71,7 @@ def _cmd_fim(args) -> int:
     fim = joint_fim(geom, params)
     basis = constraint_basis(cfg.m, cfg.t)
     crb = constrained_crb(fim, basis)
-    out = _out_path(cfg, args, "fim.csv")
+    out = args.out or "fim.csv"
     write_matrix_csv(fim.data, out)
     crb_out = out[:-4] + ".crb.csv" if out.endswith(".csv") else out + ".crb.csv"
     write_matrix_csv(crb, crb_out)
@@ -92,9 +82,8 @@ def _cmd_fim(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
-    from dataclasses import replace
     result = camp.run_campaign(replace(cfg, mode="bounds-only"))
-    out = _out_path(cfg, args, "bounds.csv")
+    out = args.out or "bounds.csv"
     emit_csv(result.rows, out)
     print(f"wrote {len(result.rows)} bound rows to {out}")
     return EXIT_OK
@@ -119,7 +108,7 @@ def _cmd_estimate(args) -> int:
              for t, v in enumerate(est.d_hat)]
     rows += [ResultRow(None, f"d_hat_im_{t}", v.imag, None, 1, cfg.seed)
              for t, v in enumerate(est.d_hat)]
-    out = _out_path(cfg, args, "estimate.csv")
+    out = args.out or "estimate.csv"
     emit_csv(rows, out)
     print(f"theta_hat = {est.theta_hat:.6f} rad; wrote estimates to {out}")
     return EXIT_OK
@@ -128,15 +117,21 @@ def _cmd_estimate(args) -> int:
 def _cmd_montecarlo(args) -> int:
     cfg = _load_config(args)
     result = camp.run_campaign(cfg)
-    if cfg.mode == "verify":
-        return _print_verify(result.verify)
-    out = _out_path(cfg, args, "campaign.csv")
+    out = args.out or "campaign.csv"
     emit_csv(result.rows, out)
     print(f"wrote {len(result.rows)} rows to {out}")
     return EXIT_OK
 
 
-def _print_verify(report) -> int:
+def _cmd_verify(args) -> int:
+    """The property checks; --config supplies m, min(t, 8), p_d, spacing and seed."""
+    if args.config:
+        cfg = _load_config(args)
+        report = camp.run_verification(m=cfg.m, t=min(cfg.t, 8), p_d=cfg.p_d,
+                                       trials=args.trials, seed=cfg.seed, spacing=cfg.spacing)
+    else:
+        report = camp.run_verification(trials=args.trials,
+                                       seed=args.seed if args.seed is not None else 0)
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status}  {c.name:<24} worst={c.worst:.3e}  threshold={c.threshold:.1e}")
@@ -145,19 +140,6 @@ def _print_verify(report) -> int:
         return EXIT_VERIFY
     print("all verification checks passed")
     return EXIT_OK
-
-
-def _cmd_verify(args) -> int:
-    if args.config:
-        cfg = _load_config(args)
-        report = camp.run_verification(m=cfg.m, t=min(cfg.t, 8), p_d=cfg.p_d,
-                                       trials=args.trials or cfg.verify_trials,
-                                       seed=args.seed if args.seed is not None else cfg.seed,
-                                       spacing=cfg.spacing)
-    else:
-        report = camp.run_verification(trials=args.trials,
-                                       seed=args.seed if args.seed is not None else 0)
-    return _print_verify(report)
 
 
 def main(argv=None) -> int:

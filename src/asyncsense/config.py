@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, asdict
 
 from .exceptions import ConfigError
 
-MODES = ("bounds-only", "estimator", "verify")
+MODES = ("bounds-only", "estimator")
 H_S_MODES = ("random", "fixed")
 
 
@@ -48,7 +48,6 @@ class CampaignConfig:
     theta_d: float = 0.35
     h_s: HsSpec = field(default_factory=HsSpec)
     seed: int = 0
-    out: str = None
     mode: str = "estimator"
     finite_t: bool = False
     finite_t_trials: int = 2000
@@ -57,7 +56,6 @@ class CampaignConfig:
     refine: bool = True
     source_count: int = 2
     phi_walk_std: float = 0.5
-    verify_trials: int = 2000
 
     def __post_init__(self):
         req = {"m": self.m, "t": self.t, "snr_db": self.snr_db, "trials": self.trials}
@@ -71,7 +69,6 @@ class CampaignConfig:
         _check_int(self.source_count, "source_count", minimum=1)
         _check_int(self.finite_t_trials, "finite_t_trials", minimum=2)
         _check_int(self.mc_bound_trials, "mc_bound_trials", minimum=2)
-        _check_int(self.verify_trials, "verify_trials", minimum=20)
         _check_int(self.seed, "seed", minimum=0)
         try:
             object.__setattr__(self, "snr_db", tuple(float(x) for x in self.snr_db))

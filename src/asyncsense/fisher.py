@@ -145,22 +145,48 @@ class ConstraintBasis:
     t: int
 
 
-def _couplings(geom: ArrayGeometry, params: ScenarioParams):
-    """Steering vectors and the inner products every closed form is built from."""
-    a = steering_vector(geom, params.theta_d)
-    b = steering_derivative(geom, params.theta_d)
-    return a, b, np.vdot(a, b), np.vdot(a, params.h_s), np.vdot(b, params.h_s)
+@dataclass(frozen=True)
+class SteeringGeometry:
+    """The steering pair, its inner products with h_s, and the scalars the bounds use.
+
+        Gamma = |a|^2 |b|^2 - |a^H b|^2,   Delta = |a|^2 |h_s|^2 - |a^H h_s|^2,
+        Xi = |(b^H a a^H - a^H a b^H) h_s|^2,   scale = |a|^2 |h_s|^2.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    ab: complex
+    ah: complex
+    bh: complex
+    gamma: float
+    delta: float
+    xi: float
+    scale: float
+
+    def checked(self) -> "SteeringGeometry":
+        """This record, or CollinearityError when Delta is at rounding level of its scale."""
+        if self.delta <= COLLINEARITY_RTOL * max(self.scale, np.finfo(float).tiny):
+            raise CollinearityError(
+                f"static channel is collinear with the steering vector (Delta={self.delta:.3e})"
+            )
+        return self
 
 
-def _delta(geom: ArrayGeometry, params: ScenarioParams, ah: complex) -> float:
-    """Delta = |a|^2 |h_s|^2 - |a^H h_s|^2, with the collinearity guard."""
-    scale = geom.m * float(np.vdot(params.h_s, params.h_s).real)
-    delta = scale - abs(ah) ** 2
-    if delta <= COLLINEARITY_RTOL * max(scale, np.finfo(float).tiny):
-        raise CollinearityError(
-            f"static channel is collinear with the steering vector (Delta={delta:.3e})"
-        )
-    return delta
+def steering_geometry(geom: ArrayGeometry, theta: float, h_s) -> SteeringGeometry:
+    """Gamma, Delta, Xi and the inner products behind them; collinear h_s is allowed here."""
+    h_s = np.asarray(h_s, dtype=complex)
+    if h_s.size != geom.m:
+        raise ValueError(f"h_s length {h_s.size} does not match geometry m={geom.m}")
+    m = geom.m
+    a = steering_vector(geom, theta)
+    b = steering_derivative(geom, theta)
+    ab, ah, bh = np.vdot(a, b), np.vdot(a, h_s), np.vdot(b, h_s)
+    scale = m * float(np.vdot(h_s, h_s).real)
+    return SteeringGeometry(a=a, b=b, ab=ab, ah=ah, bh=bh,
+                            gamma=m * float(np.vdot(b, b).real) - abs(ab) ** 2,
+                            delta=scale - abs(ah) ** 2,
+                            xi=abs(np.conj(ab) * ah - m * bh) ** 2,
+                            scale=scale)
 
 
 def _check_sigma2(params: ScenarioParams):
@@ -171,11 +197,10 @@ def _check_sigma2(params: ScenarioParams):
 def joint_fim(geom: ArrayGeometry, params: ScenarioParams) -> FimMatrix:
     """Closed-form joint FIM, every submatrix scaled by 1/sigma2."""
     _check_sigma2(params)
-    if params.m != geom.m:
-        raise ValueError("scenario and geometry disagree on the antenna count")
+    g = steering_geometry(geom, params.theta_d, params.h_s)
     m, t = params.m, params.t
     lay = ParamLayout(m, t)
-    a, b, ab, ah, bh = _couplings(geom, params)
+    a, b, ab, ah, bh = g.a, g.b, g.ab, g.ah, g.bh
     d, h_s = params.d, params.h_s
     ba = np.conj(ab)
 
@@ -286,9 +311,13 @@ def constrained_crb(fim: FimMatrix, basis: ConstraintBasis) -> np.ndarray:
 
 def reordered_blocks(geom: ArrayGeometry, params: ScenarioParams) -> ReorderedFim:
     """Per-snapshot 3x3 nuisance blocks and 1x3 cross blocks, h_s treated as known."""
+    return _reordered(params, steering_geometry(geom, params.theta_d, params.h_s))
+
+
+def _reordered(params: ScenarioParams, g: SteeringGeometry) -> ReorderedFim:
     _check_sigma2(params)
-    m = geom.m
-    a, b, ab, ah, bh = _couplings(geom, params)
+    m = params.m
+    a, b, ab, ah, bh = g.a, g.b, g.ab, g.ah, g.bh
     d = params.d
     ba = np.conj(ab)
     s2 = params.sigma2
@@ -316,9 +345,8 @@ def reordered_blocks(geom: ArrayGeometry, params: ScenarioParams) -> ReorderedFi
     return ReorderedFim(j_theta_theta=j_tt, blocks=tuple(blocks))
 
 
-def psi_block_inverse(block: SnapshotBlock, geom: ArrayGeometry,
-                      params: ScenarioParams, t: int) -> np.ndarray:
-    """Closed-form inverse of the snapshot nuisance block.
+def psi_block_inverse(geom: ArrayGeometry, params: ScenarioParams, t: int) -> np.ndarray:
+    """Closed-form inverse of the snapshot-t nuisance block J_psi.
 
     With chi = a^H h_s + M d_t and Delta = |a|^2 |h_s|^2 - |a^H h_s|^2:
 
@@ -329,23 +357,21 @@ def psi_block_inverse(block: SnapshotBlock, geom: ArrayGeometry,
     """
     _check_sigma2(params)
     m = geom.m
-    _, _, _, ah, _ = _couplings(geom, params)
-    delta = _delta(geom, params, ah)
-    chi = ah + m * params.d[t]
+    g = steering_geometry(geom, params.theta_d, params.h_s).checked()
+    chi = g.ah + m * params.d[t]
     re, im = chi.real, chi.imag
     outer = np.array([
         [im * im, -re * im, m * im],
         [-re * im, re * re, -m * re],
         [m * im, -m * re, float(m * m)],
     ])
-    return params.sigma2 / (m * delta) * outer + params.sigma2 / m * np.diag([1.0, 1.0, 0.0])
+    return params.sigma2 / (m * g.delta) * outer + params.sigma2 / m * np.diag([1.0, 1.0, 0.0])
 
 
 def efim_theta_schur(geom: ArrayGeometry, params: ScenarioParams) -> float:
     """Equivalent Fisher information of theta_d by the per-snapshot Schur complement."""
-    _, _, _, ah, _ = _couplings(geom, params)
-    _delta(geom, params, ah)  # the snapshot blocks are singular when collinear
-    ro = reordered_blocks(geom, params)
+    # the snapshot blocks are singular when collinear
+    ro = _reordered(params, steering_geometry(geom, params.theta_d, params.h_s).checked())
     corr = 0.0
     for blk in ro.blocks:
         corr += float(blk.j_theta_psi @ np.linalg.solve(blk.j_psi, blk.j_theta_psi))
@@ -360,12 +386,10 @@ def efim_theta_closed(geom: ArrayGeometry, params: ScenarioParams) -> float:
     """
     _check_sigma2(params)
     m = geom.m
-    a, b, ab, ah, bh = _couplings(geom, params)
-    delta = _delta(geom, params, ah)
-    gamma = m * float(np.vdot(b, b).real) - abs(ab) ** 2
-    c = np.conj(ab) * ah - m * bh
-    first = float(np.vdot(params.d, params.d).real) * gamma / (params.sigma2 * m)
-    second = float(np.sum(np.imag(c * params.d.conj()) ** 2)) / (params.sigma2 * m * delta)
+    g = steering_geometry(geom, params.theta_d, params.h_s).checked()
+    c = np.conj(g.ab) * g.ah - m * g.bh
+    first = float(np.vdot(params.d, params.d).real) * g.gamma / (params.sigma2 * m)
+    second = float(np.sum(np.imag(c * params.d.conj()) ** 2)) / (params.sigma2 * m * g.delta)
     return first - second
 
 
@@ -380,9 +404,7 @@ def efim_psi_t(geom: ArrayGeometry, params: ScenarioParams, t: int) -> np.ndarra
         raise ValueError("per-snapshot EFIM needs at least 2 snapshots")
     if not 0 <= t < params.t:
         raise ValueError(f"snapshot index {t} out of range for T={params.t}")
-    _, _, _, ah, _ = _couplings(geom, params)
-    _delta(geom, params, ah)
-    ro = reordered_blocks(geom, params)
+    ro = _reordered(params, steering_geometry(geom, params.theta_d, params.h_s).checked())
     loo = ro.j_theta_theta
     for i, blk in enumerate(ro.blocks):
         if i == t:

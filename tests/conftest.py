@@ -1,33 +1,9 @@
-"""Shared scenario factories for the test suite."""
+"""Shared fixtures for the test suite."""
 
 import numpy as np
 import pytest
 
-from asyncsense import ArrayGeometry, ScenarioParams, sigma2_from_snr_db
-
-
-def random_scenario(rng, m_range=(2, 6), t_range=(2, 8), sigma2_range=(0.2, 2.0),
-                    min_delta_frac=0.05):
-    """Random admissible scenario; redraws h_s until Delta is comfortably positive.
-
-    The Delta guard keeps the per-snapshot blocks well conditioned, matching
-    the preconditions of the closed forms under test.
-    """
-    m = int(rng.integers(m_range[0], m_range[1] + 1))
-    t = int(rng.integers(t_range[0], t_range[1] + 1))
-    geom = ArrayGeometry(m)
-    theta = float(rng.uniform(-1.3, 1.3))
-    a = np.exp(1j * 2 * np.pi * 0.5 * np.arange(m) * np.sin(theta))
-    while True:
-        h_s = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
-        scale = m * float(np.vdot(h_s, h_s).real)
-        delta = scale - abs(np.vdot(a, h_s)) ** 2
-        if delta > min_delta_frac * scale:
-            break
-    d = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2)
-    phi = rng.uniform(-np.pi / 3, np.pi / 3, t)
-    sigma2 = float(rng.uniform(*sigma2_range))
-    return geom, ScenarioParams(theta, h_s, d, phi, sigma2)
+from asyncsense import ArrayGeometry, sigma2_from_snr_db
 
 
 @pytest.fixture

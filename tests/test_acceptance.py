@@ -7,17 +7,11 @@ as they complete (they are also shown on failure without -s).
 import numpy as np
 
 from asyncsense import (ArrayGeometry, CampaignConfig, EstimatorConfig, GainDistribution,
-                        ScenarioParams, ahrcrb_cgs, constraint_basis, draw_dynamic_gains,
-                        efim_theta_closed, efim_theta_schur, emit_csv, fim_numeric_oracle,
-                        finite_t_hrcrb_cgs, joint_fim, psi_block_inverse, reordered_blocks,
-                        rho_theta, run_campaign, run_estimator, steering_derivative,
-                        steering_vector, sufficiency_check, synthesize_csi,
-                        verify_hrcrb_chain)
+                        ScenarioParams, ahrcrb_cgs, draw_dynamic_gains, emit_csv,
+                        finite_t_hrcrb_cgs, run_campaign, run_estimator, sufficiency_check,
+                        synthesize_csi)
 import asyncsense.campaign as campaign_mod
-from asyncsense.fisher import ParamLayout
 from asyncsense.ofdm import make_reference_signal
-
-from conftest import random_scenario
 
 CAMPAIGN_SEED = 20240817
 
@@ -28,104 +22,39 @@ def _report(num, name, passed, detail=""):
     assert passed, line
 
 
+def _report_check(num, name, check, detail=""):
+    _report(num, name, check.passed,
+            f"{detail}worst {check.worst:.2e} (limit {check.threshold:.0e})")
+
+
 def test_criterion_1_fim_oracle_equivalence():
-    rng = np.random.default_rng(1001)
-    worst = 0.0
-    for _ in range(50):
-        geom, params = random_scenario(rng, m_range=(2, 6), t_range=(2, 8))
-        closed = joint_fim(geom, params).data
-        oracle = fim_numeric_oracle(geom, params).data
-        scale = np.max(np.abs(closed))
-        # entrywise relative error with an absolute floor at the matrix scale
-        err = np.abs(closed - oracle) / (np.abs(closed) + scale)
-        worst = max(worst, float(err.max()))
-    _report(1, "FIM oracle equivalence", worst < 1e-6,
-            f"worst entrywise rel err {worst:.2e} over 50 scenarios")
+    # entrywise relative error with an absolute floor at the matrix scale
+    _report_check(1, "FIM oracle equivalence", campaign_mod.check_fim_oracle(50, 1001),
+                  "50 scenarios, ")
 
 
 def test_criterion_2_schur_inverse_consistency():
-    rng = np.random.default_rng(1002)
-    worst_eq = 0.0
-    worst_res = 0.0
-    for _ in range(100):
-        geom, params = random_scenario(rng, m_range=(3, 6), t_range=(2, 8))
-        schur = efim_theta_schur(geom, params)
-        closed = efim_theta_closed(geom, params)
-        full = reordered_blocks(geom, params).assemble()
-        via_inv = 1.0 / np.linalg.inv(full)[0, 0]
-        worst_eq = max(worst_eq, abs(schur - closed) / abs(schur),
-                       abs(schur - via_inv) / abs(schur))
-        ro = reordered_blocks(geom, params)
-        for t in range(params.t):
-            inv = psi_block_inverse(ro.blocks[t], geom, params, t)
-            worst_res = max(worst_res,
-                            float(np.max(np.abs(inv @ ro.blocks[t].j_psi - np.eye(3)))))
-    _report(2, "Schur/inverse consistency",
-            worst_eq < 1e-10 and worst_res < 1e-10,
-            f"equalities {worst_eq:.2e}, inverse residual {worst_res:.2e}")
+    _report_check(2, "Schur/inverse consistency",
+                  campaign_mod.check_schur_consistency(100, 1002), "100 scenarios, ")
 
 
 def test_criterion_3_rho_range():
-    rng = np.random.default_rng(1003)
-    worst_excess = -np.inf
-    worst_range = 0.0
-    for _ in range(10 ** 4):
-        m = int(rng.integers(2, 17))
-        geom = ArrayGeometry(m)
-        theta = float(rng.uniform(-1.4, 1.4))
-        h_s = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        dec = rho_theta(geom, theta, h_s)
-        worst_excess = max(worst_excess, (dec.xi - dec.gamma * dec.delta)
-                           / (dec.gamma * dec.delta))
-        worst_range = max(worst_range, 1.0 - dec.rho, dec.rho - 2.0)
-    worst_rho1 = 0.0
-    for _ in range(100):
-        m = int(rng.integers(3, 17))
-        geom = ArrayGeometry(m)
-        theta = float(rng.uniform(-1.4, 1.4))
-        a = steering_vector(geom, theta)
-        b = steering_derivative(geom, theta)
-        q, _ = np.linalg.qr(np.column_stack([a, b]))
-        h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        h -= q @ (q.conj().T @ h)
-        worst_rho1 = max(worst_rho1, abs(rho_theta(geom, theta, h).rho - 1.0))
-    _report(3, "rho penalty within [1, 2]",
-            worst_excess <= 1e-12 and worst_range <= 1e-12 and worst_rho1 <= 1e-10,
-            f"Xi excess {worst_excess:.2e}, range violation {worst_range:.2e}, "
-            f"|rho-1| at Xi=0 {worst_rho1:.2e}")
+    # 10**4 random draws, then 100 with h_s orthogonal to span{a, b}; at this
+    # seed the Xi excess and the rho range stay within 1e-12
+    check = campaign_mod.check_rho_range(10 ** 4, 1003)
+    _report(3, "rho penalty within [1, 2]", check.passed and check.worst <= 1e-12,
+            f"worst {check.worst:.2e} (limit 1e-12)")
 
 
 def test_criterion_4_constraint_basis():
-    worst_gram = 0.0
-    worst_ann = 0.0
-    for t in (2, 3, 8, 64):
-        basis = constraint_basis(4, t)
-        u = basis.u
-        worst_gram = max(worst_gram, float(np.max(np.abs(u.T @ u - np.eye(u.shape[1])))))
-        lay = ParamLayout(4, t)
-        for block in (lay.d_re, lay.d_im, lay.phi):
-            g = np.zeros(u.shape[0])
-            g[block] = 1.0
-            worst_ann = max(worst_ann, float(np.max(np.abs(g @ u))))
-    lay4 = ParamLayout(2, 4)
-    u_sub = constraint_basis(2, 4).u[lay4.d_re, 1 + 4: 1 + 4 + 3]
-    expected = np.array([-5 / 6, 1 / 6, 1 / 6, 1 / 2])
-    hand = float(np.max(np.abs(u_sub[:, 0] - expected)))
-    _report(4, "constraint basis",
-            worst_gram < 1e-12 and worst_ann < 1e-12 and hand == 0.0,
-            f"gram {worst_gram:.2e}, annihilation {worst_ann:.2e}, hand column {hand:.2e}")
+    _report_check(4, "constraint basis", campaign_mod.check_constraint_basis())
 
 
 def test_criterion_5_hrcrb_chain():
-    geom = ArrayGeometry(4)
-    rep = verify_hrcrb_chain(geom, t=4, dist=GainDistribution(1.0), sigma2=1.0,
-                             trials=10 ** 4, seed=1005, scenarios=20)
-    ok = (rep.max_floor_violation <= 1e-10 and rep.max_jensen_violation <= 1e-10
-          and rep.scalar_jensen_violation <= 1e-10 and rep.max_schur_rel_error <= 1e-9
-          and rep.draws == 10 ** 4)
-    _report(5, "HRCRB inequality chain", ok,
-            f"floor {rep.max_floor_violation:.2e}, jensen {rep.max_jensen_violation:.2e}, "
-            f"schur {rep.max_schur_rel_error:.2e} over {rep.draws} draws")
+    # M=4, T=4, 10**4 draws over 20 scenarios
+    orderings, schur = campaign_mod.check_hrcrb_chain(4, 4, 1.0, 10 ** 4, 1005)
+    _report(5, "HRCRB inequality chain", orderings.passed and schur.passed,
+            f"orderings {orderings.worst:.2e}, schur {schur.worst:.2e}")
 
 
 def test_criterion_6_ahrcrb_convergence(reference_scenario):

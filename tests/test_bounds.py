@@ -38,7 +38,8 @@ def test_rho_is_always_between_one_and_two():
 
 
 def test_rho_binet_cauchy_wedge_identity():
-    # Gamma equals |vec(a b^T - b a^T)|^2 / 2 (and likewise for Delta)
+    # Gamma equals |vec(a b^T - b a^T)|^2 / 2 (and likewise for Delta), and
+    # Xi = |<vec(a h_s^T - h_s a^T), vec(b a^T - a b^T)>|^2 / 4
     rng = np.random.default_rng(2)
     for _ in range(50):
         m = int(rng.integers(2, 12))
@@ -52,6 +53,10 @@ def test_rho_binet_cauchy_wedge_identity():
         lam_ah = (np.outer(a, h_s) - np.outer(h_s, a)).ravel()
         assert dec.gamma == pytest.approx(0.5 * np.vdot(lam_ab, lam_ab).real, rel=1e-12)
         assert dec.delta == pytest.approx(0.5 * np.vdot(lam_ah, lam_ah).real, rel=1e-12)
+        xi_wedge = 0.25 * abs(np.vdot(lam_ah, -lam_ab)) ** 2
+        # Xi may vanish, so the floor is at rounding level of Gamma Delta
+        assert abs(dec.xi - xi_wedge) <= 1e-10 * max(dec.xi, xi_wedge,
+                                                     1e-14 * dec.gamma * dec.delta)
 
 
 def test_rho_collinear_raises():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -83,10 +84,31 @@ def test_montecarlo_command(tmp_path, cfg_path, capsys):
     assert any(r.metric == "mse_theta" for r in rows)
 
 
-def test_verify_command_default(capsys):
-    assert main(["verify", "--trials", "300"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+def test_verify_command_default(cfg_path, capsys):
+    # the config supplies m, min(t, 8), p_d, spacing and seed
+    for extra in ([], ["--config", cfg_path]):
+        assert main(["verify", "--trials", "300"] + extra) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out and "FAIL" not in out
+        names = {line.split()[1] for line in out.splitlines() if line.startswith("PASS")}
+        assert {"rho_range", "fim_oracle", "schur_consistency", "constraint_basis",
+                "chain_orderings", "chain_schur_identity"} <= names
+
+
+def test_verify_fails_when_a_rho_draw_raises(monkeypatch, capsys):
+    # a draw that raises fails the command; the check never skips it
+    import asyncsense.campaign as campaign_mod
+    real = campaign_mod.rho_theta
+    calls = itertools.count()
+
+    def flaky(geom, theta, h_s):
+        if next(calls) == 37:
+            raise ArithmeticError("injected failure on draw 37")
+        return real(geom, theta, h_s)
+
+    monkeypatch.setattr(campaign_mod, "rho_theta", flaky)
+    assert main(["verify", "--trials", "300"]) != 0
+    assert "injected failure on draw 37" in capsys.readouterr().err
 
 
 def test_verify_failure_exit_3(monkeypatch, capsys):
@@ -99,15 +121,6 @@ def test_verify_failure_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(campaign_mod, "check_rho_range", broken)
     assert main(["verify", "--trials", "300"]) == 3
     assert "FAIL" in capsys.readouterr().out
-
-
-def test_montecarlo_verify_mode(tmp_path, capsys):
-    cfg = {"m": 4, "t": 8, "snr_db": [10.0], "trials": 2, "mode": "verify",
-           "verify_trials": 300}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["montecarlo", "--config", str(path)]) == 0
-    assert "all verification checks passed" in capsys.readouterr().out
 
 
 def test_estimate_csi_mismatch_exit_1(tmp_path, cfg_path, capsys):

@@ -6,10 +6,9 @@ from asyncsense import (ArrayGeometry, CollinearityError, ScenarioParams,
                         efim_psi_t, efim_theta_closed, efim_theta_schur,
                         fim_numeric_oracle, joint_fim, psi_block_inverse,
                         reordered_blocks, steering_derivative, steering_vector)
+from asyncsense.campaign import random_scenario
 from asyncsense.exceptions import DegenerateBoundError
 from asyncsense.fisher import ParamLayout
-
-from conftest import random_scenario
 
 
 def _assert_fim_close(a, b, rtol):
@@ -239,7 +238,7 @@ def test_psi_block_inverse_is_exact_inverse():
     geom, params = _params()
     ro = reordered_blocks(geom, params)
     for t in range(params.t):
-        inv = psi_block_inverse(ro.blocks[t], geom, params, t)
+        inv = psi_block_inverse(geom, params, t)
         np.testing.assert_allclose(inv @ ro.blocks[t].j_psi, np.eye(3), atol=1e-10)
 
 
@@ -249,7 +248,7 @@ def test_psi_block_inverse_matches_generic_inverse():
         geom, params = random_scenario(rng, t_range=(2, 4))
         ro = reordered_blocks(geom, params)
         t = int(rng.integers(params.t))
-        closed = psi_block_inverse(ro.blocks[t], geom, params, t)
+        closed = psi_block_inverse(geom, params, t)
         generic = np.linalg.inv(ro.blocks[t].j_psi)
         np.testing.assert_allclose(closed, generic, rtol=1e-8,
                                    atol=1e-10 * np.max(np.abs(generic)))
@@ -259,9 +258,9 @@ def test_psi_block_inverse_collinear_raises():
     geom = ArrayGeometry(4)
     a = steering_vector(geom, 0.3)
     params = ScenarioParams(0.3, 2.0 * a, np.full(3, 0.1 + 0.1j), np.zeros(3), 1.0)
-    ro = reordered_blocks(geom, params)
+    reordered_blocks(geom, params)          # the blocks themselves accept collinear input
     with pytest.raises(CollinearityError):
-        psi_block_inverse(ro.blocks[0], geom, params, 0)
+        psi_block_inverse(geom, params, 0)
 
 
 def test_efim_theta_three_routes_agree():
