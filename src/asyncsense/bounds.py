@@ -250,7 +250,7 @@ def verify_hrcrb_chain(geom: ArrayGeometry, t: int, dist: GainDistribution, sigm
     if trials < scenarios:
         raise ValueError("need at least one draw per scenario")
     rng = as_rng(seed)
-    draws_per = trials // scenarios
+    draws_per, extra = divmod(trials, scenarios)
     dim = 1 + 3 * t
 
     max_floor = -np.inf
@@ -258,19 +258,20 @@ def verify_hrcrb_chain(geom: ArrayGeometry, t: int, dist: GainDistribution, sigm
     max_schur = 0.0
     total_draws = 0
 
-    for _ in range(scenarios):
+    for k in range(scenarios):
+        draws = draws_per + (k < extra)
         theta = rng.uniform(-1.2, 1.2)
         while True:
             h_s = (rng.standard_normal(geom.m) + 1j * rng.standard_normal(geom.m)) / np.sqrt(2)
             g = steering_geometry(geom, theta, h_s)
             if g.delta > 1e-3 * g.scale:
                 break
-        js = np.empty((draws_per, dim, dim))
-        for i in range(draws_per):
+        js = np.empty((draws, dim, dim))
+        for i in range(draws):
             d = np.sqrt(dist.p_d / 2.0) * (rng.standard_normal(t) + 1j * rng.standard_normal(t))
             params = ScenarioParams(theta, h_s, d, np.zeros(t), sigma2)
             js[i] = reordered_blocks(geom, params).assemble()
-        total_draws += draws_per
+        total_draws += draws
 
         j_mean = js.mean(axis=0)
         inv_mean = np.linalg.inv(js).mean(axis=0)

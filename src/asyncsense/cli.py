@@ -39,15 +39,19 @@ def _build_parser() -> _Parser:
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="campaign config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--out", default=None, help="output CSV path")
 
-    common(sub.add_parser("fim", help="dump the joint FIM and constrained CRB for a scenario"))
-    common(sub.add_parser("bounds", help="closed-form + Monte Carlo bounds over the SNR grid"))
-    p_est = sub.add_parser("estimate", help="run the estimation pipeline on one CSI block")
-    common(p_est)
+    def writer(name, text):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--out", default=None, help="output CSV path")
+        return p
+
+    writer("fim", "dump the joint FIM and constrained CRB for a scenario")
+    writer("bounds", "closed-form + Monte Carlo bounds over the SNR grid")
+    p_est = writer("estimate", "run the estimation pipeline on one CSI block")
     p_est.add_argument("--csi", default=None,
                        help="CSI CSV (M rows x 2T interleaved re,im); synthesized when omitted")
-    common(sub.add_parser("montecarlo", help="full bound-vs-MSE campaign"))
+    writer("montecarlo", "full bound-vs-MSE campaign")
     p_ver = sub.add_parser("verify", help="run the numerical property suites")
     common(p_ver, config_required=False)
     p_ver.add_argument("--trials", type=int, default=2000)

@@ -208,33 +208,38 @@ def joint_fim(geom: ArrayGeometry, params: ScenarioParams) -> FimMatrix:
     col = h_s[:, None] + np.outer(a, d)          # per-snapshot noiseless mean / phase factor
     chi = ah + m * d
 
-    j[lay.theta, lay.theta] = np.vdot(b, b).real * np.vdot(d, d).real
-    j[lay.theta, lay.h_re] = np.real(d.conj().sum() * b.conj())
-    j[lay.theta, lay.h_im] = -np.imag(d.conj().sum() * b.conj())
-    j[lay.theta, lay.d_re] = np.real(ba * d.conj())
-    j[lay.theta, lay.d_im] = -np.imag(ba * d.conj())
-    j[lay.theta, lay.phi] = -np.imag(bh * d.conj() + ba * d.conj() * d)
+    def put(rows, cols, block):
+        j[rows, cols] = block
+        j[cols, rows] = np.transpose(block)
 
-    j[lay.h_re, lay.h_re] = t * np.eye(m)
-    j[lay.h_im, lay.h_im] = t * np.eye(m)
-    j[lay.h_re, lay.d_re] = np.tile(np.real(a)[:, None], (1, t))
-    j[lay.h_re, lay.d_im] = np.tile(-np.imag(a)[:, None], (1, t))
-    j[lay.h_im, lay.d_re] = np.tile(np.imag(a)[:, None], (1, t))
-    j[lay.h_im, lay.d_im] = np.tile(np.real(a)[:, None], (1, t))
-    j[lay.h_re, lay.phi] = -np.imag(col)
-    j[lay.h_im, lay.phi] = np.real(col)
+    diag = j.reshape(-1)[:: lay.dim + 1]
+    diag[lay.theta] = np.vdot(b, b).real * np.vdot(d, d).real
+    diag[lay.h_re] = diag[lay.h_im] = t
+    diag[lay.d_re] = diag[lay.d_im] = m
+    diag[lay.phi] = np.sum(np.abs(col) ** 2, axis=0)
 
-    j[lay.d_re, lay.d_re] = m * np.eye(t)
-    j[lay.d_im, lay.d_im] = m * np.eye(t)
+    put(lay.theta, lay.h_re, np.real(d.conj().sum() * b.conj()))
+    put(lay.theta, lay.h_im, -np.imag(d.conj().sum() * b.conj()))
+    put(lay.theta, lay.d_re, np.real(ba * d.conj()))
+    put(lay.theta, lay.d_im, -np.imag(ba * d.conj()))
+    put(lay.theta, lay.phi, -np.imag(bh * d.conj() + ba * d.conj() * d))
+
+    put(lay.h_re, lay.d_re, np.real(a)[:, None])
+    put(lay.h_re, lay.d_im, -np.imag(a)[:, None])
+    put(lay.h_im, lay.d_re, np.imag(a)[:, None])
+    put(lay.h_im, lay.d_im, np.real(a)[:, None])
+    put(lay.h_re, lay.phi, -np.imag(col))
+    put(lay.h_im, lay.phi, np.real(col))
+
     # sign of the Im/phi coupling follows the per-snapshot block form (and the
     # numeric oracle); the flat submatrix list carries a copy error here
-    j[lay.d_re, lay.phi] = np.diag(-np.imag(chi))
-    j[lay.d_im, lay.phi] = np.diag(np.real(chi))
+    re_d, im_d, phi = (np.arange(s.start, s.stop) for s in (lay.d_re, lay.d_im, lay.phi))
+    put(re_d, phi, -np.imag(chi))
+    put(im_d, phi, np.real(chi))
 
-    j[lay.phi, lay.phi] = np.diag(np.sum(np.abs(col) ** 2, axis=0))
-
-    j = np.triu(j) + np.triu(j, 1).T
-    return FimMatrix(j / params.sigma2, lay)
+    j /= params.sigma2
+    j += 0.0                                     # -0.0 -> +0.0, so written bytes never show a sign
+    return FimMatrix(j, lay)
 
 
 def fim_numeric_oracle(geom: ArrayGeometry, params: ScenarioParams, step: float = 1e-6) -> FimMatrix:
@@ -292,21 +297,90 @@ def constraint_basis(m: int, t: int) -> ConstraintBasis:
 
 
 def constrained_crb(fim: FimMatrix, basis: ConstraintBasis) -> np.ndarray:
-    """Constrained CRB U (U^T J U)^{-1} U^T; PSD with range in the constraint tangent space."""
-    if (basis.m, basis.t) != (fim.layout.m, fim.layout.t):
+    """Constrained CRB U (U^T J U)^{-1} U^T (Stoica & Ng 1998) by block elimination.
+
+    U spans the zero-sum tangent space of d and phi (``constraint_basis``).  J
+    is bordered block-diagonal: a head A over (theta, h_s) of size p = 1 + 2M,
+    cross blocks B_t = J_{h, psi_t} (p x 3) and snapshot blocks
+    D_t = J_{psi_t psi_t} = V_t W_t V_t^T = L_t L_t^T (3 x 3, L_t = V_t W_t^1/2);
+    every other entry of J_psipsi must be exactly 0.  The rank-3 Woodbury step
+    for the all-ones constraints goes through the QR factor Q of the stacked
+    L_t^-1 / sqrt(T):
+
+        K = L^-T (I - Q Q^T) L^-1      (= U_psi (U_psi^T D U_psi)^-1 U_psi^T)
+        S = A - B K B^T = A - Y^T Y,   Y = (I - Q Q^T) L^-1 B^T
+        CRB = [[S^-1, -S^-1 B K], [-K B^T S^-1, K + K B^T S^-1 B K]].
+
+    S subtracts no term larger than A, so the result is as accurate as a dense
+    solve of U^T J U; explicit D_t^-1 would lose digits in proportion to
+    cond(D_t) too (near-collinear h_s).  Cost is O(T p^2) plus the n x n
+    output, with J read symmetrised; the result is exactly symmetric.
+    """
+    lay = fim.layout
+    if (basis.m, basis.t) != (lay.m, lay.t):
         raise ValueError("constraint basis does not match the FIM layout")
-    u = basis.u
-    core = u.T @ fim.data @ u
-    core = 0.5 * (core + core.T)
-    eigvals = np.linalg.eigvalsh(core)
-    smallest, largest = eigvals[0], eigvals[-1]
-    if smallest <= 0 or largest / smallest > CONDITION_LIMIT:
+    t, p = lay.t, 1 + 2 * lay.m
+    j = fim.data
+    snaps = np.arange(t)
+    # d_up[s, c, e] = J[psi_c(s), psi_e(s)]; joint index of psi_c(s) is p + c T + s
+    d_up = j[p:, p:].reshape(3, t, 3, t)[:, snaps, :, snaps]
+    # nonzeros of J_psipsi, counted over whole (contiguous) rows
+    if np.count_nonzero(j[p:]) - np.count_nonzero(j[p:, :p]) != np.count_nonzero(d_up):
+        snap = np.arange(3 * t) % t
+        rows, cols = np.nonzero((j[p:, p:] != 0) & (snap[:, None] != snap[None, :]))
+        row, col = p + rows[0], p + cols[0]
+        raise ValueError(f"J_psipsi is not block-diagonal over snapshots: "
+                         f"J[{row}, {col}] = {j[row, col]!r}")
+    d = 0.5 * (d_up + d_up.transpose(0, 2, 1))
+    a = 0.5 * (j[:p, :p] + j[:p, :p].T)
+    b = 0.5 * (j[:p, p:] + j[p:, :p].T)                             # (p, 3T), joint columns
+    w, vecs = np.linalg.eigh(d)
+    _require_positive(w, "snapshot blocks J_psi_t")
+
+    l_inv = vecs.transpose(0, 2, 1) / np.sqrt(w)[:, :, None]        # L_t^-1 = W_t^-1/2 V_t^T
+    y = (l_inv @ b.reshape(p, 3, t).transpose(2, 1, 0)).reshape(3 * t, p)   # snapshot-major
+    q = np.linalg.qr((l_inv / np.sqrt(t)).reshape(3 * t, 3))[0]
+    y -= q @ (q.T @ y)
+    s = a - y.T @ y
+    s = 0.5 * (s + s.T)
+    _require_positive(np.linalg.eigvalsh(s), "Schur complement S")
+    s_inv = np.linalg.inv(s)
+
+    # B K = Y^T L^-1 and L^-T Q, both in the joint psi order
+    bk = (y.reshape(t, 3, p).transpose(0, 2, 1) @ l_inv).transpose(1, 2, 0).reshape(p, 3 * t)
+    v = (l_inv.transpose(0, 2, 1) @ q.reshape(t, 3, 3)).transpose(1, 0, 2).reshape(3 * t, 3)
+    cross = -s_inv @ bk
+    crb = np.empty((lay.dim, lay.dim))
+    crb[:p, :p] = s_inv
+    crb[:p, p:] = cross
+    crb[p:, :p] = cross.T
+    # K + K B^T S^-1 B K = blkdiag(D_t^-1) - [L^-T Q, (BK)^T] [(L^-T Q)^T; -S^-1 B K]
+    np.matmul(np.hstack([v, bk.T]), -np.vstack([v.T, cross]), out=crb[p:, p:])
+    crb[p:, p:].reshape(3, t, 3, t)[:, snaps, :, snaps] += l_inv.transpose(0, 2, 1) @ l_inv
+    crb = 0.5 * (crb + crb.T)
+
+    # cond(U^T J U) <= lambda_max(J) lambda_max(CRB), each bounded by its
+    # largest absolute row sum (Gershgorin); J's row sums come from its blocks
+    abs_b = np.abs(b)
+    j_rows = np.concatenate([np.abs(a).sum(axis=1) + abs_b.sum(axis=1),
+                             abs_b.sum(axis=0) + np.abs(d).sum(axis=2).T.ravel()])
+    crb_norm = np.linalg.norm(crb, np.inf)
+    cond = j_rows.max() * crb_norm
+    if not cond <= CONDITION_LIMIT:
         raise SingularMatrixError(
-            f"U^T J U is singular at the working condition limit "
+            f"U^T J U is singular at the working condition limit (condition bound "
+            f"{cond:.3e}, smallest eigenvalue >= {1.0 / crb_norm:.6e})"
+        )
+    return crb
+
+
+def _require_positive(eigvals: np.ndarray, what: str):
+    smallest = eigvals.min()
+    if not smallest > 0:
+        raise SingularMatrixError(
+            f"U^T J U is singular: {what} not positive definite "
             f"(smallest eigenvalue {smallest:.6e})"
         )
-    crb = u @ np.linalg.solve(core, u.T)
-    return 0.5 * (crb + crb.T)
 
 
 def reordered_blocks(geom: ArrayGeometry, params: ScenarioParams) -> ReorderedFim:

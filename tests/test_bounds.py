@@ -189,6 +189,16 @@ def test_verify_hrcrb_chain_clean(reference_scenario):
     assert rep.draws == 2000
 
 
+def test_verify_hrcrb_chain_spreads_the_remainder(reference_scenario):
+    geom, theta, h_s, sigma2, p_d = reference_scenario
+    rep = verify_hrcrb_chain(geom, t=3, dist=GainDistribution(p_d), sigma2=1.0,
+                             trials=2001, seed=0, scenarios=20)
+    assert rep.draws == 2001
+    assert rep.scenarios == 20
+    assert rep.max_floor_violation <= 1e-10
+    assert rep.max_jensen_violation <= 1e-10
+
+
 def test_bound_report_invariants():
     with pytest.raises(ValueError):
         BoundReport(1.0, "monte-carlo")                     # missing stderr/trials

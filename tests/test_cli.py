@@ -21,6 +21,7 @@ def test_usage_errors_exit_1(capsys):
     assert main(["bogus-command"]) == 1
     assert main(["bounds"]) == 1          # missing --config
     assert main(["montecarlo", "--config", "x.json", "--format", "xml"]) == 1
+    assert main(["verify", "--out", "x.csv"]) == 1      # verify writes no file
     capsys.readouterr()
 
 

@@ -189,6 +189,75 @@ def test_constrained_crb_singularity_error_names_eigenvalue():
         constrained_crb(FimMatrix(np.zeros((lay.dim, lay.dim)), lay), basis)
 
 
+def _dense_constrained_crb(fim, basis):
+    """Oracle: U (U^T J U)^{-1} U^T with dense products and a dense solve."""
+    u = basis.u
+    core = u.T @ fim.data @ u
+    core = 0.5 * (core + core.T)
+    crb = u @ np.linalg.solve(core, u.T)
+    return 0.5 * (crb + crb.T)
+
+
+def _assert_crb_matches_dense(fim):
+    basis = constraint_basis(fim.layout.m, fim.layout.t)
+    crb = constrained_crb(fim, basis)
+    ref = _dense_constrained_crb(fim, basis)
+    assert np.max(np.abs(crb - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert np.array_equal(crb, crb.T)
+    assert crb[0, 0] >= 1.0 / fim.data[0, 0]
+
+
+def test_constrained_crb_matches_dense_oracle():
+    rng = np.random.default_rng(13)
+    for t in (2, 3, 4, 8, 64):
+        for _ in range(5):
+            geom, params = random_scenario(rng, m_range=(2, 6), t_range=(t, t))
+            _assert_crb_matches_dense(joint_fim(geom, params))
+
+
+def test_constrained_crb_matches_dense_oracle_on_numeric_fim():
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        geom, params = random_scenario(rng)
+        _assert_crb_matches_dense(fim_numeric_oracle(geom, params))
+
+
+def test_constrained_crb_rejects_coupling_across_snapshots():
+    from asyncsense.fisher import FimMatrix
+    geom, params = _params()
+    fim = joint_fim(geom, params)
+    lay = fim.layout
+    data = fim.data.copy()
+    row, col = lay.psi_indices(1)[2], lay.psi_indices(3)[0]
+    data[row, col] = data[col, row] = 1e-3
+    with pytest.raises(ValueError, match=rf"J\[{min(row, col)}, {max(row, col)}\]"):
+        constrained_crb(FimMatrix(data, lay), constraint_basis(lay.m, lay.t))
+
+
+def test_constrained_crb_near_collinear_as_accurate_as_dense():
+    # Delta/scale ~ 1e-6: the snapshot blocks have condition ~ 1e8, and a
+    # Schur complement built from explicit D_t^-1 is off by ~1e-5 here
+    geom, params0 = _params()
+    rng = np.random.default_rng(8)
+    nudge = rng.standard_normal(params0.m) + 1j * rng.standard_normal(params0.m)
+    h_s = (0.8 - 0.3j) * steering_vector(geom, params0.theta_d) + 1e-3 * nudge
+    params = ScenarioParams(params0.theta_d, h_s, params0.d, params0.phi_o, params0.sigma2)
+    fim = joint_fim(geom, params)
+    basis = constraint_basis(params.m, params.t)
+    crb = constrained_crb(fim, basis)
+    ref = _dense_constrained_crb(fim, basis)
+    assert np.max(np.abs(crb - ref)) <= 1e-8 * np.max(np.abs(ref))
+    assert abs(crb[0, 0] - ref[0, 0]) <= 1e-8 * ref[0, 0]
+
+
+def test_constrained_crb_collinear_static_channel_is_singular():
+    geom, params0 = _params()
+    h_s = (0.8 - 0.3j) * steering_vector(geom, params0.theta_d)
+    params = ScenarioParams(params0.theta_d, h_s, params0.d, params0.phi_o, params0.sigma2)
+    with pytest.raises(SingularMatrixError, match="smallest eigenvalue"):
+        constrained_crb(joint_fim(geom, params), constraint_basis(params.m, params.t))
+
+
 def test_reordered_blocks_structure():
     geom, params = _params()
     ro = reordered_blocks(geom, params)

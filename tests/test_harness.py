@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from asyncsense import (CampaignConfig, ConfigError, HsSpec, ResultRow, emit_con
                         sigma2_from_snr_db, write_csi_csv, write_matrix_csv)
 from asyncsense.csvio import read_matrix_csv
 import asyncsense.campaign as campaign_mod
+from asyncsense import cli, fisher
 from asyncsense.array_model import CsiBlock
 from asyncsense.exceptions import EstimationStageError
 
@@ -233,16 +235,44 @@ def test_trial_results_carry_diagnostics():
         assert tr.theta_sq_err >= 0 and tr.d_mse >= 0 and tr.phi_mse >= 0
 
 
-def test_tracing_targets_resolve(monkeypatch):
-    # the benchmark tracer looks every target up by name; a rename must fail here
+def _load_tracing(monkeypatch):
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracing_targets_resolve(monkeypatch):
+    # the benchmark tracer looks every target up by name; a rename must fail here
+    tracing = _load_tracing(monkeypatch)
     for module, name in tracing.TARGETS:
         mod = importlib.import_module(f"asyncsense.{module}")
         assert callable(getattr(mod, name, None)), f"asyncsense.{module}.{name}"
     # the tracer reads hrcrb_theta's mode as its 7th positional argument
     hrcrb = importlib.import_module("asyncsense.bounds").hrcrb_theta
     assert list(inspect.signature(hrcrb).parameters)[6] == "mode"
+
+
+def test_tracing_reads_the_crb_dimension(tmp_path, monkeypatch, capsys):
+    # the tracer takes constrained_crb's positional (fim, basis) and basis.u.shape
+    tracing = _load_tracing(monkeypatch)
+    m, t = 4, 8
+    cfg = tmp_path / "fim.json"
+    cfg.write_text(json.dumps(_minimal_dict(m=m, t=t)))
+    # taken before install, so the spans inside count as library calls, where
+    # the tracer reads the dimension
+    fim_main = cli.main
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.request("fim_cli"):
+            start = time.perf_counter()
+            assert fim_main(["fim", "--config", str(cfg), "--out", str(tmp_path / "f.csv")]) == 0
+            wall = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert cli.constrained_crb is fisher.constrained_crb
+    assert tracing.layer_metrics(tracer, [wall])["fisher.dense_dim"] == 1 + 2 * m + 3 * t
