@@ -1,7 +1,7 @@
 """CSV emission and parsing: result rows, matrices, and CSI blocks.
 
-All floats are rendered with 17 significant digits so emitted files reparse
-to bit-identical values; line endings are LF.
+All floats are rendered with 17 significant digits (``%.17g``) so emitted
+files reparse to bit-identical values; line endings are LF.
 """
 
 import csv
@@ -28,9 +28,7 @@ class ResultRow:
 
 def fmt(x) -> str:
     """17-significant-digit decimal rendering; empty string for None."""
-    if x is None:
-        return ""
-    return format(float(x), ".17g")
+    return "" if x is None else format(float(x), ".17g")
 
 
 def emit_csv(rows, path: str):
@@ -75,31 +73,32 @@ def parse_results_csv(path: str):
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str):
-    """Row-major real matrix dump at 17 significant digits."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in matrix:
-            writer.writerow([fmt(x) for x in row])
+    """Row-major real matrix dump at 17 significant digits, one bytes ``%`` per row."""
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2 or np.iscomplexobj(matrix):
+        raise ValueError(f"expected a 2-D real matrix, got {matrix.ndim}-D {matrix.dtype}")
+    line = (",".join(["%.17g"] * matrix.shape[1]) + "\n").encode()
+    with open(path, "wb") as fh:
+        for row in matrix.astype(float, copy=False):
+            fh.write(line % tuple(row.tolist()))
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        return np.array([[float(x) for x in rec] for rec in csv.reader(fh)])
+    """Inverse of write_matrix_csv; empty files, blank lines, ragged rows, bad cells raise."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    if not lines or not all(lines):  # loadtxt would skip blank lines
+        raise ValueError(f"matrix CSV {path} has no rows or a blank line")
+    return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
 
 
 def write_csi_csv(csi: CsiBlock, path: str):
     """CSI block as M rows x 2T columns with interleaved real, imag parts."""
-    inter = np.empty((csi.m, 2 * csi.t))
-    inter[:, 0::2] = csi.data.real
-    inter[:, 1::2] = csi.data.imag
-    write_matrix_csv(inter, path)
+    write_matrix_csv(np.ascontiguousarray(csi.data).view(float), path)
 
 
 def read_csi_csv(path: str) -> CsiBlock:
     inter = read_matrix_csv(path)
-    if inter.ndim != 2 or inter.shape[1] % 2 != 0:
+    if inter.shape[1] % 2 != 0:
         raise ValueError("CSI CSV must have an even column count (interleaved re, im)")
     return CsiBlock(inter[:, 0::2] + 1j * inter[:, 1::2])

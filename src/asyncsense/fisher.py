@@ -16,6 +16,7 @@ theta_d and of psi_t via Schur complements, together with their closed forms.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,11 +139,36 @@ class ReorderedFim:
 
 @dataclass(frozen=True)
 class ConstraintBasis:
-    """Orthonormal basis U of the zero-sum constraint tangent space."""
+    """Orthonormal basis U of the zero-sum constraint tangent space, built on first use."""
 
-    u: np.ndarray
     m: int
     t: int
+
+    def __post_init__(self):
+        if self.t < 2:
+            raise ValueError(f"constraint basis needs T >= 2, got {self.t}")
+        if self.m < 1:
+            raise ValueError(f"antenna count must be >= 1, got {self.m}")
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """Block-diagonal dense U, n x (n - 3); ``constrained_crb`` never reads it.
+
+        U_sub is T x (T-1): off-diagonal 1/(T+sqrt(T)), diagonal 1/(T+sqrt(T)) - 1,
+        last row 1/sqrt(T); identity on the 2M+1 unconstrained coordinates.
+        """
+        m, t = self.m, self.t
+        u_sub = np.full((t, t - 1), 1.0 / (t + np.sqrt(t)))
+        u_sub[np.arange(t - 1), np.arange(t - 1)] -= 1.0
+        u_sub[t - 1, :] = 1.0 / np.sqrt(t)
+
+        lay = ParamLayout(m, t)
+        u = np.zeros((lay.dim, 1 + 2 * m + 3 * (t - 1)))
+        u[: 1 + 2 * m, : 1 + 2 * m] = np.eye(1 + 2 * m)
+        for i, block in enumerate((lay.d_re, lay.d_im, lay.phi)):
+            cols = slice(1 + 2 * m + i * (t - 1), 1 + 2 * m + (i + 1) * (t - 1))
+            u[block, cols] = u_sub
+        return u
 
 
 @dataclass(frozen=True)
@@ -274,26 +300,8 @@ def fim_numeric_oracle(geom: ArrayGeometry, params: ScenarioParams, step: float 
 
 
 def constraint_basis(m: int, t: int) -> ConstraintBasis:
-    """Block-diagonal orthonormal basis annihilating the three all-ones constraints.
-
-    U_sub is T x (T-1): off-diagonal 1/(T+sqrt(T)), diagonal 1/(T+sqrt(T)) - 1,
-    last row 1/sqrt(T); identity on the 2M+1 unconstrained coordinates.
-    """
-    if t < 2:
-        raise ValueError(f"constraint basis needs T >= 2, got {t}")
-    if m < 1:
-        raise ValueError(f"antenna count must be >= 1, got {m}")
-    u_sub = np.full((t, t - 1), 1.0 / (t + np.sqrt(t)))
-    u_sub[np.arange(t - 1), np.arange(t - 1)] -= 1.0
-    u_sub[t - 1, :] = 1.0 / np.sqrt(t)
-
-    lay = ParamLayout(m, t)
-    u = np.zeros((lay.dim, 1 + 2 * m + 3 * (t - 1)))
-    u[: 1 + 2 * m, : 1 + 2 * m] = np.eye(1 + 2 * m)
-    for i, block in enumerate((lay.d_re, lay.d_im, lay.phi)):
-        cols = slice(1 + 2 * m + i * (t - 1), 1 + 2 * m + (i + 1) * (t - 1))
-        u[block, cols] = u_sub
-    return ConstraintBasis(u, m, t)
+    """Zero-sum constraint basis for M antennas and T >= 2 snapshots; U is built lazily."""
+    return ConstraintBasis(m, t)
 
 
 def constrained_crb(fim: FimMatrix, basis: ConstraintBasis) -> np.ndarray:

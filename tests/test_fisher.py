@@ -158,6 +158,15 @@ def test_constraint_basis_needs_two_snapshots():
         constraint_basis(3, 1)
 
 
+def test_constrained_crb_leaves_the_dense_basis_unbuilt():
+    rng = np.random.default_rng(8)
+    geom, params = random_scenario(rng, m_range=(3, 3), t_range=(6, 6))
+    basis = constraint_basis(params.m, params.t)
+    constrained_crb(joint_fim(geom, params), basis)
+    assert "u" not in basis.__dict__
+    assert basis.u is basis.u          # built once, on first access
+
+
 def test_constrained_crb_projector_for_identity():
     from asyncsense.fisher import FimMatrix
     lay = ParamLayout(2, 3)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib.util
 import inspect
@@ -17,7 +18,7 @@ from asyncsense import (CampaignConfig, ConfigError, HsSpec, ResultRow, emit_con
 from asyncsense.csvio import read_matrix_csv
 import asyncsense.campaign as campaign_mod
 from asyncsense import cli, fisher
-from asyncsense.array_model import CsiBlock
+from asyncsense.array_model import ArrayGeometry, CsiBlock
 from asyncsense.exceptions import EstimationStageError
 
 
@@ -120,6 +121,97 @@ def test_matrix_csv_roundtrip(tmp_path):
     path = tmp_path / "m.csv"
     write_matrix_csv(mat, str(path))
     np.testing.assert_array_equal(read_matrix_csv(str(path)), mat)
+
+
+def _csv_writer_oracle(matrix, path):
+    # the per-value writer write_matrix_csv replaced; its bytes are the file format
+    matrix = np.asarray(matrix, dtype=float)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        for row in matrix:
+            writer.writerow([format(float(x), ".17g") for x in row])
+
+
+_EDGE = np.array([[0.0, -0.0, np.nan, np.inf],
+                  [-np.inf, 5e-324, 2.2250738585072014e-308 / 3, np.finfo(float).max],
+                  [-np.finfo(float).max, 0.1, 1.0 / 3.0, -1e-300]])
+EDGE_MATRICES = {
+    "edge": _EDGE,
+    "fortran": np.asfortranarray(_EDGE),
+    "transposed": _EDGE.T,
+    "1x1": np.array([[2.5]]),
+    "3x1": np.array([[1.0], [-0.0], [np.nan]]),
+    "2x0": np.zeros((2, 0)),
+    "0x3": np.zeros((0, 3)),
+    "int64": np.arange(-6, 6, dtype=np.int64).reshape(3, 4) * 10 ** 15,
+    "bool": np.array([[True, False], [False, True]]),
+    "float32": np.array([[0.1, 1e-30, 3.4e38, -1.5]], dtype=np.float32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
+def test_matrix_csv_bytes_match_the_csv_writer(tmp_path, name):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_matrix_csv(EDGE_MATRICES[name], str(new))
+    _csv_writer_oracle(EDGE_MATRICES[name], str(old))
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_fim_command_bytes_match_the_csv_writer(tmp_path, capsys):
+    cfg = tmp_path / "fim.json"
+    cfg.write_text(json.dumps(_minimal_dict(m=8, t=64, theta_d=0.35, seed=11)))
+    out = tmp_path / "fim.csv"
+    assert cli.main(["fim", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    parsed = parse_config(str(cfg))
+    fim = fisher.joint_fim(ArrayGeometry(parsed.m, parsed.spacing),
+                           campaign_mod.scenario_from_config(parsed))
+    crb = fisher.constrained_crb(fim, fisher.constraint_basis(parsed.m, parsed.t))
+    for matrix, written in ((fim.data, out), (crb, tmp_path / "fim.crb.csv")):
+        _csv_writer_oracle(matrix, str(tmp_path / "oracle.csv"))
+        assert written.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_matrix_csv_roundtrip_is_bit_exact(tmp_path):
+    mat = np.vstack([_EDGE, [-0.0, -5e-324, -np.nan, 1e-310]])
+    path = tmp_path / "m.csv"
+    write_matrix_csv(mat, str(path))
+    back = read_matrix_csv(str(path))
+    # NaN payloads and signs are not kept: %.17g writes every NaN as "nan"
+    nan = np.isnan(mat)
+    assert np.array_equal(np.isnan(back), nan)
+    assert np.array_equal(back[~nan].view(np.int64), mat[~nan].view(np.int64))
+
+
+def test_matrix_csv_refuses_complex_input(tmp_path):
+    with pytest.raises(ValueError, match="complex128"):
+        write_matrix_csv(np.array([[1 + 2j, 3 - 1j]]), str(tmp_path / "c.csv"))
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("text, match", [
+    ("", "no rows or a blank line"),
+    ("\n", "no rows or a blank line"),
+    ("1,2\n\n3,4\n", "no rows or a blank line"),
+    ("1,2\n3,4\n\n", "no rows or a blank line"),
+    ("1,2\n3\n", "number of columns"),
+    ("1,2\n3,x\n", "could not convert"),
+    ("1,,2\n", "could not convert"),
+])
+def test_read_matrix_csv_rejects_malformed_files(tmp_path, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        read_matrix_csv(str(path))
+
+
+def test_estimate_rejects_an_empty_csi_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_minimal_dict()))
+    csi = tmp_path / "csi.csv"
+    csi.write_text("")
+    assert cli.main(["estimate", "--config", str(cfg), "--csi", str(csi)]) == 1
+    assert "has no rows" in capsys.readouterr().err
 
 
 def test_csi_csv_roundtrip(tmp_path):
