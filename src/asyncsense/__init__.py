@@ -15,7 +15,7 @@ from .estimator import (EstimateResult, EstimatorConfig, MusicDiagnostics, beams
                         estimate_cgs, estimate_phase_offsets, music_aoa, run_estimator)
 from .exceptions import (CollinearityError, ConfigError, DegenerateBoundError,
                          DegenerateProjectionError, EstimationStageError, SingularMatrixError)
-from .fisher import (ConstraintBasis, FimMatrix, ParamLayout, ReorderedFim, SnapshotBlock,
+from .fisher import (ConstraintBasis, FimMatrix, ParamLayout, ReorderedFim,
                      constrained_crb, constraint_basis, efim_psi_t, efim_theta_closed,
                      efim_theta_schur, fim_numeric_oracle, joint_fim, psi_block_inverse,
                      reordered_blocks)

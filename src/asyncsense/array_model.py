@@ -144,6 +144,12 @@ def steering_vector(geom: ArrayGeometry, theta: float) -> np.ndarray:
     return np.exp(1j * 2 * np.pi * geom.spacing * m * np.sin(theta))
 
 
+def _steering_pair(geom: ArrayGeometry, theta: float) -> tuple:
+    """(a(theta), b(theta)) with a evaluated once."""
+    a = steering_vector(geom, theta)
+    return a, 1j * 2 * np.pi * geom.spacing * np.arange(geom.m) * np.cos(theta) * a
+
+
 def steering_matrix(geom: ArrayGeometry, thetas: np.ndarray) -> np.ndarray:
     """Steering vectors for a whole angle grid, stacked as columns (M x len)."""
     thetas = np.asarray(thetas, dtype=float)
@@ -157,9 +163,7 @@ def steering_matrix(geom: ArrayGeometry, thetas: np.ndarray) -> np.ndarray:
 
 def steering_derivative(geom: ArrayGeometry, theta: float) -> np.ndarray:
     """Derivative b(theta) = da/dtheta of the steering vector."""
-    _check_theta(theta)
-    m = np.arange(geom.m)
-    return 1j * 2 * np.pi * geom.spacing * m * np.cos(theta) * steering_vector(geom, theta)
+    return _steering_pair(geom, theta)[1]
 
 
 def project_constraints(params: ScenarioParams) -> ScenarioParams:

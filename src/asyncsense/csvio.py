@@ -98,7 +98,8 @@ def write_csi_csv(csi: CsiBlock, path: str):
 
 
 def read_csi_csv(path: str) -> CsiBlock:
+    """Inverse of write_csi_csv, bit for bit apart from NaN payloads (each is written as nan)."""
     inter = read_matrix_csv(path)
     if inter.shape[1] % 2 != 0:
         raise ValueError("CSI CSV must have an even column count (interleaved re, im)")
-    return CsiBlock(inter[:, 0::2] + 1j * inter[:, 1::2])
+    return CsiBlock(np.ascontiguousarray(inter).view(complex))

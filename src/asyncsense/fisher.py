@@ -10,9 +10,13 @@ exactly the Fisher information of the synthesized CSI block: the textbook
 circular-Gaussian FIM is (2 / complex_variance) * Re{Jmu^H Jmu} and the
 complex entry variance is 2*sigma2, so the prefactor reduces to 1/sigma2.
 
-The reordered per-snapshot machinery (blocks over psi_t = (Re d_t, Im d_t,
-phi_t) with h_s treated as known) feeds the equivalent Fisher information of
-theta_d and of psi_t via Schur complements, together with their closed forms.
+The reordered per-snapshot machinery treats h_s as known and orders the
+parameters (theta_d, psi_0, ..., psi_{T-1}) with psi_t = (Re d_t, Im d_t, phi_t).
+:class:`ReorderedFim` holds it as arrays: the theta-theta entry (...), the
+snapshot blocks J_psi_t (..., T, 3, 3) and the cross rows J_theta,psi_t
+(..., T, 3), where the optional leading axes batch gain draws of one scenario.
+The equivalent Fisher information of theta_d and of psi_t follows by Schur
+complements over all T blocks at once, next to their closed forms.
 """
 
 from dataclasses import dataclass
@@ -20,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .array_model import ArrayGeometry, ScenarioParams, steering_derivative, steering_vector
+from .array_model import ArrayGeometry, ScenarioParams, _steering_pair, steering_vector
 from .exceptions import CollinearityError, DegenerateBoundError, SingularMatrixError
 
 # Delta below this fraction of its natural scale |a|^2 |h_s|^2 is treated as
@@ -110,30 +114,26 @@ class FimMatrix:
 
 
 @dataclass(frozen=True)
-class SnapshotBlock:
-    """Per-snapshot pieces of the reordered FIM: J_psi (3x3) and J_theta,psi (3,)."""
+class ReorderedFim:
+    """Reordered FIM with h_s known, over optional leading batch axes.
 
+    j_theta_theta (...), j_psi (..., T, 3, 3), j_theta_psi (..., T, 3).
+    """
+
+    j_theta_theta: np.ndarray
     j_psi: np.ndarray
     j_theta_psi: np.ndarray
 
-
-@dataclass(frozen=True)
-class ReorderedFim:
-    """Scalar theta-theta entry plus the per-snapshot blocks; h_s is known here."""
-
-    j_theta_theta: float
-    blocks: tuple
-
     def assemble(self) -> np.ndarray:
-        """Dense (1 + 3T) x (1 + 3T) matrix over (theta, psi_0, ..., psi_{T-1})."""
-        t = len(self.blocks)
-        full = np.zeros((1 + 3 * t, 1 + 3 * t))
-        full[0, 0] = self.j_theta_theta
-        for i, blk in enumerate(self.blocks):
-            s = slice(1 + 3 * i, 4 + 3 * i)
-            full[s, s] = blk.j_psi
-            full[0, s] = blk.j_theta_psi
-            full[s, 0] = blk.j_theta_psi
+        """Dense (..., 1 + 3T, 1 + 3T) matrices over (theta, psi_0, ..., psi_{T-1})."""
+        *batch, t, _ = self.j_theta_psi.shape
+        full = np.zeros((*batch, 1 + 3 * t, 1 + 3 * t))
+        full[..., 0, 0] = self.j_theta_theta
+        full[..., 0, 1:] = full[..., 1:, 0] = self.j_theta_psi.reshape(*batch, 3 * t)
+        # full[..., 1 + 3i + c, 1 + 3k + e] as a strided view [..., i, c, k, e]
+        blocks = full[..., 1:, 1:].reshape(*batch, t, 3, t, 3)
+        snaps = np.arange(t)
+        blocks[..., snaps, :, snaps, :] = np.moveaxis(self.j_psi, -3, 0)
         return full
 
 
@@ -204,8 +204,7 @@ def steering_geometry(geom: ArrayGeometry, theta: float, h_s) -> SteeringGeometr
     if h_s.size != geom.m:
         raise ValueError(f"h_s length {h_s.size} does not match geometry m={geom.m}")
     m = geom.m
-    a = steering_vector(geom, theta)
-    b = steering_derivative(geom, theta)
+    a, b = _steering_pair(geom, theta)
     ab, ah, bh = np.vdot(a, b), np.vdot(a, h_s), np.vdot(b, h_s)
     scale = m * float(np.vdot(h_s, h_s).real)
     return SteeringGeometry(a=a, b=b, ab=ab, ah=ah, bh=bh,
@@ -215,14 +214,14 @@ def steering_geometry(geom: ArrayGeometry, theta: float, h_s) -> SteeringGeometr
                             scale=scale)
 
 
-def _check_sigma2(params: ScenarioParams):
-    if params.sigma2 <= 0:
-        raise ValueError(f"Fisher information needs sigma2 > 0, got {params.sigma2}")
+def _check_sigma2(sigma2: float):
+    if not sigma2 > 0:
+        raise ValueError(f"Fisher information needs sigma2 > 0, got {sigma2}")
 
 
 def joint_fim(geom: ArrayGeometry, params: ScenarioParams) -> FimMatrix:
     """Closed-form joint FIM, every submatrix scaled by 1/sigma2."""
-    _check_sigma2(params)
+    _check_sigma2(params.sigma2)
     g = steering_geometry(geom, params.theta_d, params.h_s)
     m, t = params.m, params.t
     lay = ParamLayout(m, t)
@@ -276,7 +275,7 @@ def fim_numeric_oracle(geom: ArrayGeometry, params: ScenarioParams, step: float 
     complex entry variance is 2*sigma2, so the prefactor is 1/sigma2 and the
     result is directly comparable to :func:`joint_fim`.
     """
-    _check_sigma2(params)
+    _check_sigma2(params.sigma2)
     m, t = params.m, params.t
     lay = ParamLayout(m, t)
 
@@ -393,71 +392,67 @@ def _require_positive(eigvals: np.ndarray, what: str):
 
 def reordered_blocks(geom: ArrayGeometry, params: ScenarioParams) -> ReorderedFim:
     """Per-snapshot 3x3 nuisance blocks and 1x3 cross blocks, h_s treated as known."""
-    return _reordered(params, steering_geometry(geom, params.theta_d, params.h_s))
+    g = steering_geometry(geom, params.theta_d, params.h_s)
+    return _reordered(g, params.h_s, params.d, params.sigma2)
 
 
-def _reordered(params: ScenarioParams, g: SteeringGeometry) -> ReorderedFim:
-    _check_sigma2(params)
-    m = params.m
-    a, b, ab, ah, bh = g.a, g.b, g.ab, g.ah, g.bh
-    d = params.d
-    ba = np.conj(ab)
-    s2 = params.sigma2
+def _reordered(g: SteeringGeometry, h_s: np.ndarray, d: np.ndarray, sigma2: float) -> ReorderedFim:
+    """The block formulas for gains d of shape (..., T), all sharing g and h_s.
 
-    chi = ah + m * d
-    col = params.h_s[:, None] + np.outer(a, d)
-    q = np.sum(np.abs(col) ** 2, axis=0)
-
-    blocks = []
-    for t in range(params.t):
-        c = chi[t]
-        j_psi = np.array([
-            [m, 0.0, -c.imag],
-            [0.0, m, c.real],
-            [-c.imag, c.real, q[t]],
-        ]) / s2
-        j_theta_psi = np.array([
-            np.real(ab * d[t]),
-            np.imag(ab * d[t]),
-            -np.imag(ba * abs(d[t]) ** 2 + bh * np.conj(d[t])),
-        ]) / s2
-        blocks.append(SnapshotBlock(j_psi=j_psi, j_theta_psi=j_theta_psi))
-
-    j_tt = float(np.vdot(b, b).real * np.vdot(d, d).real / s2)
-    return ReorderedFim(j_theta_theta=j_tt, blocks=tuple(blocks))
-
-
-def psi_block_inverse(geom: ArrayGeometry, params: ScenarioParams, t: int) -> np.ndarray:
-    """Closed-form inverse of the snapshot-t nuisance block J_psi.
-
-    With chi = a^H h_s + M d_t and Delta = |a|^2 |h_s|^2 - |a^H h_s|^2:
-
-        J_psi^{-1} = sigma2/(M Delta) * [[Im chi^2, -Re Im, M Im],
-                                         [-Re Im, Re chi^2, -M Re],
-                                         [M Im, -M Re, M^2]]
-                     + sigma2/M * diag(1, 1, 0)
+        J_psi_t = [[M, 0, -Im chi_t], [0, M, Re chi_t], [-Im chi_t, Re chi_t, |h_s + a d_t|^2]],
+        J_theta,psi_t = (Re a^H b d_t, Im a^H b d_t, -Im(b^H a |d_t|^2 + b^H h_s d_t^*)),
+        J_theta_theta = |b|^2 |d|^2,   chi_t = a^H h_s + M d_t,   all over sigma2.
     """
-    _check_sigma2(params)
+    _check_sigma2(sigma2)
+    m = h_s.size
+    ab, ah, bh = g.ab, g.ah, g.bh
+    chi = ah + m * d
+    abs2 = np.abs(d) ** 2
+    q = np.sum(np.abs(h_s[:, None] + g.a[:, None] * d[..., None, :]) ** 2, axis=-2)
+
+    j_psi = np.zeros((*d.shape, 3, 3))
+    j_psi[..., 0, 0] = j_psi[..., 1, 1] = m
+    j_psi[..., 0, 2] = j_psi[..., 2, 0] = -chi.imag
+    j_psi[..., 1, 2] = j_psi[..., 2, 1] = chi.real
+    j_psi[..., 2, 2] = q
+    j_psi /= sigma2
+    j_theta_psi = np.stack([np.real(ab * d), np.imag(ab * d),
+                            -np.imag(np.conj(ab) * abs2 + bh * np.conj(d))], axis=-1) / sigma2
+    j_tt = np.vdot(g.b, g.b).real * np.sum(abs2, axis=-1) / sigma2
+    return ReorderedFim(j_theta_theta=j_tt, j_psi=j_psi, j_theta_psi=j_theta_psi)
+
+
+def _schur_terms(ro: ReorderedFim) -> np.ndarray:
+    """Per-snapshot corrections J_theta,psi_t J_psi_t^-1 J_theta,psi_t^T, shape (..., T)."""
+    sol = np.linalg.solve(ro.j_psi, ro.j_theta_psi[..., None])[..., 0]
+    return np.sum(ro.j_theta_psi * sol, axis=-1)
+
+
+def psi_block_inverse(geom: ArrayGeometry, params: ScenarioParams, t) -> np.ndarray:
+    """Closed-form inverse of the snapshot-t nuisance block J_psi; t may be an index array.
+
+    With chi = a^H h_s + M d_t, Delta = |a|^2 |h_s|^2 - |a^H h_s|^2 and
+    w = (Im chi, -Re chi, M):
+
+        J_psi^{-1} = sigma2/(M Delta) * w w^T + sigma2/M * diag(1, 1, 0)
+
+    The result has shape (3, 3), or (*t.shape, 3, 3) for an index array.
+    """
+    _check_sigma2(params.sigma2)
     m = geom.m
     g = steering_geometry(geom, params.theta_d, params.h_s).checked()
     chi = g.ah + m * params.d[t]
-    re, im = chi.real, chi.imag
-    outer = np.array([
-        [im * im, -re * im, m * im],
-        [-re * im, re * re, -m * re],
-        [m * im, -m * re, float(m * m)],
-    ])
+    w = np.stack([chi.imag, -chi.real, np.full(np.shape(chi), float(m))], axis=-1)
+    outer = w[..., :, None] * w[..., None, :]
     return params.sigma2 / (m * g.delta) * outer + params.sigma2 / m * np.diag([1.0, 1.0, 0.0])
 
 
 def efim_theta_schur(geom: ArrayGeometry, params: ScenarioParams) -> float:
     """Equivalent Fisher information of theta_d by the per-snapshot Schur complement."""
     # the snapshot blocks are singular when collinear
-    ro = _reordered(params, steering_geometry(geom, params.theta_d, params.h_s).checked())
-    corr = 0.0
-    for blk in ro.blocks:
-        corr += float(blk.j_theta_psi @ np.linalg.solve(blk.j_psi, blk.j_theta_psi))
-    return ro.j_theta_theta - corr
+    g = steering_geometry(geom, params.theta_d, params.h_s).checked()
+    ro = _reordered(g, params.h_s, params.d, params.sigma2)
+    return float(ro.j_theta_theta - np.sum(_schur_terms(ro)))
 
 
 def efim_theta_closed(geom: ArrayGeometry, params: ScenarioParams) -> float:
@@ -466,7 +461,7 @@ def efim_theta_closed(geom: ArrayGeometry, params: ScenarioParams) -> float:
         J_theta^equ = |d|^2 Gamma / (sigma2 M)
                       - sum_t Im{(b^H a a^H h_s - a^H a b^H h_s) d_t^*}^2 / (sigma2 M Delta)
     """
-    _check_sigma2(params)
+    _check_sigma2(params.sigma2)
     m = geom.m
     g = steering_geometry(geom, params.theta_d, params.h_s).checked()
     c = np.conj(g.ab) * g.ah - m * g.bh
@@ -486,15 +481,11 @@ def efim_psi_t(geom: ArrayGeometry, params: ScenarioParams, t: int) -> np.ndarra
         raise ValueError("per-snapshot EFIM needs at least 2 snapshots")
     if not 0 <= t < params.t:
         raise ValueError(f"snapshot index {t} out of range for T={params.t}")
-    ro = _reordered(params, steering_geometry(geom, params.theta_d, params.h_s).checked())
-    loo = ro.j_theta_theta
-    for i, blk in enumerate(ro.blocks):
-        if i == t:
-            continue
-        loo -= float(blk.j_theta_psi @ np.linalg.solve(blk.j_psi, blk.j_theta_psi))
+    g = steering_geometry(geom, params.theta_d, params.h_s).checked()
+    ro = _reordered(g, params.h_s, params.d, params.sigma2)
+    loo = float(ro.j_theta_theta - np.sum(_schur_terms(ro)[np.arange(params.t) != t]))
     if loo <= 0:
         raise DegenerateBoundError(
             f"leave-one-out information of theta_d is not positive ({loo:.3e})"
         )
-    blk = ro.blocks[t]
-    return blk.j_psi - np.outer(blk.j_theta_psi, blk.j_theta_psi) / loo
+    return ro.j_psi[t] - np.outer(ro.j_theta_psi[t], ro.j_theta_psi[t]) / loo

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from asyncsense import (ArrayGeometry, BoundReport, CollinearityError, GainDistribution,
-                        ahrcrb_cgs, finite_t_hrcrb_cgs, hrcrb_theta, rho_theta,
-                        steering_derivative, steering_vector, verify_hrcrb_chain)
+from asyncsense import (ArrayGeometry, BoundReport, ChainCheckReport, CollinearityError,
+                        GainDistribution, ScenarioParams, ahrcrb_cgs, finite_t_hrcrb_cgs,
+                        hrcrb_theta, reordered_blocks, rho_theta, steering_derivative,
+                        steering_vector, verify_hrcrb_chain)
+from asyncsense.array_model import gains_from_normals
+from asyncsense.fisher import _reordered, steering_geometry
 
 
 def _orthogonal_h(geom, theta, rng, span_b=True):
@@ -197,6 +200,88 @@ def test_verify_hrcrb_chain_spreads_the_remainder(reference_scenario):
     assert rep.scenarios == 20
     assert rep.max_floor_violation <= 1e-10
     assert rep.max_jensen_violation <= 1e-10
+
+
+def _chain_oracle(geom, t, dist, sigma2, trials, seed, scenarios):
+    """verify_hrcrb_chain with one reordered_blocks(...).assemble() per gain draw."""
+    rng = np.random.default_rng(seed)
+    draws_per, extra = divmod(trials, scenarios)
+    dim = 1 + 3 * t
+    max_floor = max_jensen = -np.inf
+    max_schur = 0.0
+    total_draws = 0
+    for k in range(scenarios):
+        draws = draws_per + (k < extra)
+        theta = rng.uniform(-1.2, 1.2)
+        while True:
+            h_s = (rng.standard_normal(geom.m) + 1j * rng.standard_normal(geom.m)) / np.sqrt(2)
+            g = steering_geometry(geom, theta, h_s)
+            if g.delta > 1e-3 * g.scale:
+                break
+        js = np.empty((draws, dim, dim))
+        for i in range(draws):
+            d = np.sqrt(dist.p_d / 2.0) * (rng.standard_normal(t) + 1j * rng.standard_normal(t))
+            params = ScenarioParams(theta, h_s, d, np.zeros(t), sigma2)
+            js[i] = reordered_blocks(geom, params).assemble()
+        total_draws += draws
+
+        j_mean = js.mean(axis=0)
+        inv_mean = np.linalg.inv(js).mean(axis=0)
+        mid = np.linalg.inv(j_mean)[0, 0]
+        floor = 1.0 / j_mean[0, 0]
+        jensen_rhs = inv_mean[0, 0]
+        schur_rhs = 1.0 / (
+            j_mean[0, 0] - j_mean[0, 1:] @ np.linalg.solve(j_mean[1:, 1:], j_mean[1:, 0])
+        )
+        max_floor = max(max_floor, (floor - mid) / abs(mid))
+        max_jensen = max(max_jensen, (mid - jensen_rhs) / abs(jensen_rhs))
+        max_schur = max(max_schur, abs(mid - schur_rhs) / abs(schur_rhs))
+
+    x = rng.lognormal(mean=0.0, sigma=1.0, size=10 ** 6)
+    scalar_violation = (1.0 / x.mean() - (1.0 / x).mean()) / (1.0 / x).mean()
+    return ChainCheckReport(scenarios, total_draws, float(max_floor), float(max_jensen),
+                            float(max_schur), float(scalar_violation))
+
+
+@pytest.mark.parametrize("t, trials, scenarios", [(2, 203, 4), (3, 400, 8), (4, 301, 6),
+                                                  (8, 157, 5)])
+def test_verify_hrcrb_chain_matches_the_per_draw_oracle(reference_scenario, t, trials,
+                                                        scenarios):
+    geom, theta, h_s, sigma2, p_d = reference_scenario
+    args = (geom, t, GainDistribution(p_d), 1.0, trials, 42 + t, scenarios)
+    got, want = verify_hrcrb_chain(*args), _chain_oracle(*args)
+    assert (got.draws, got.scenarios) == (want.draws, want.scenarios) == (trials, scenarios)
+    for field in ("max_floor_violation", "max_jensen_violation", "max_schur_rel_error",
+                  "scalar_jensen_violation"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
+
+
+def test_batched_gain_draw_matches_interleaved_per_draw_draws():
+    dist = GainDistribution(1.7)
+    one, per = np.random.default_rng(5), np.random.default_rng(5)
+    batched = gains_from_normals(one.standard_normal((9, 2, 6)), dist)
+    looped = np.stack([np.sqrt(dist.p_d / 2.0) * (per.standard_normal(6)
+                                                   + 1j * per.standard_normal(6))
+                       for _ in range(9)])
+    np.testing.assert_array_equal(batched.view(np.int64), looped.view(np.int64))
+    assert one.standard_normal() == per.standard_normal()
+
+
+def test_reordered_batch_equals_the_stack_of_single_scenarios(reference_scenario):
+    geom, theta, h_s, sigma2, p_d = reference_scenario
+    g = steering_geometry(geom, theta, h_s)
+    rng = np.random.default_rng(6)
+    d = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    batch = _reordered(g, h_s, d, sigma2)
+    singles = [_reordered(g, h_s, row, sigma2) for row in d]
+    for field in ("j_theta_theta", "j_psi", "j_theta_psi"):
+        want = np.stack([getattr(s, field) for s in singles])
+        np.testing.assert_allclose(getattr(batch, field), want, rtol=1e-15,
+                                   atol=1e-15 * np.max(np.abs(want)))
+    full = batch.assemble()
+    assert full.shape == (7, 16, 16)
+    np.testing.assert_allclose(full, np.stack([s.assemble() for s in singles]), rtol=1e-15,
+                               atol=1e-15 * np.max(np.abs(full)))
 
 
 def test_bound_report_invariants():

@@ -271,17 +271,17 @@ def test_reordered_blocks_structure():
     geom, params = _params()
     ro = reordered_blocks(geom, params)
     m, s2 = geom.m, params.sigma2
-    for blk in ro.blocks:
-        assert blk.j_psi[0, 0] == pytest.approx(m / s2)
-        assert blk.j_psi[1, 1] == pytest.approx(m / s2)
-        np.testing.assert_allclose(blk.j_psi, blk.j_psi.T, atol=1e-14)
+    for j_psi in ro.j_psi:
+        assert j_psi[0, 0] == pytest.approx(m / s2)
+        assert j_psi[1, 1] == pytest.approx(m / s2)
+        np.testing.assert_allclose(j_psi, j_psi.T, atol=1e-14)
 
 
 def test_reordered_blocks_zero_signal_phi_entry():
     geom = ArrayGeometry(3)
     params = ScenarioParams(0.2, np.zeros(3), np.zeros(4), np.zeros(4), 1.0)
     ro = reordered_blocks(geom, params)
-    assert ro.blocks[0].j_psi[2, 2] == 0.0
+    assert ro.j_psi[0][2, 2] == 0.0
 
 
 def test_reordered_blocks_match_oracle_submatrix():
@@ -295,9 +295,9 @@ def test_reordered_blocks_match_oracle_submatrix():
         scale = np.max(np.abs(oracle))
         for t in range(params.t):
             idx = lay.psi_indices(t)
-            np.testing.assert_allclose(ro.blocks[t].j_psi, oracle[np.ix_(idx, idx)],
+            np.testing.assert_allclose(ro.j_psi[t], oracle[np.ix_(idx, idx)],
                                        rtol=1e-6, atol=1e-6 * scale)
-            np.testing.assert_allclose(ro.blocks[t].j_theta_psi, oracle[0, idx],
+            np.testing.assert_allclose(ro.j_theta_psi[t], oracle[0, idx],
                                        rtol=1e-6, atol=1e-6 * scale)
         assert ro.j_theta_theta == pytest.approx(oracle[0, 0], rel=1e-6)
 
@@ -317,7 +317,7 @@ def test_psi_block_inverse_is_exact_inverse():
     ro = reordered_blocks(geom, params)
     for t in range(params.t):
         inv = psi_block_inverse(geom, params, t)
-        np.testing.assert_allclose(inv @ ro.blocks[t].j_psi, np.eye(3), atol=1e-10)
+        np.testing.assert_allclose(inv @ ro.j_psi[t], np.eye(3), atol=1e-10)
 
 
 def test_psi_block_inverse_matches_generic_inverse():
@@ -327,7 +327,7 @@ def test_psi_block_inverse_matches_generic_inverse():
         ro = reordered_blocks(geom, params)
         t = int(rng.integers(params.t))
         closed = psi_block_inverse(geom, params, t)
-        generic = np.linalg.inv(ro.blocks[t].j_psi)
+        generic = np.linalg.inv(ro.j_psi[t])
         np.testing.assert_allclose(closed, generic, rtol=1e-8,
                                    atol=1e-10 * np.max(np.abs(generic)))
 
@@ -411,8 +411,7 @@ def test_efim_psi_t_leave_one_out_excludes_own_snapshot():
     b = steering_derivative(geom, 0.3)
     j_tt = np.vdot(b, b).real * abs(d[2]) ** 2 / 0.9
     ro = reordered_blocks(geom, params)
-    blk = ro.blocks[2]
-    expected = blk.j_psi - np.outer(blk.j_theta_psi, blk.j_theta_psi) / j_tt
+    expected = ro.j_psi[2] - np.outer(ro.j_theta_psi[2], ro.j_theta_psi[2]) / j_tt
     np.testing.assert_allclose(efim_psi_t(geom, params, 2), expected, rtol=1e-12)
 
 
@@ -422,8 +421,8 @@ def test_efim_psi_t_asymptotics(reference_scenario):
     from asyncsense import GainDistribution, draw_dynamic_gains
     d = draw_dynamic_gains(512, GainDistribution(p_d), np.random.default_rng(11))
     params = ScenarioParams(theta, h_s, d, np.zeros(512), sigma2)
-    blk = reordered_blocks(geom, params).blocks[3]
-    gap = np.max(np.abs(efim_psi_t(geom, params, 3) - blk.j_psi)) / np.max(np.abs(blk.j_psi))
+    j_psi = reordered_blocks(geom, params).j_psi[3]
+    gap = np.max(np.abs(efim_psi_t(geom, params, 3) - j_psi)) / np.max(np.abs(j_psi))
     assert gap < 0.01
 
 

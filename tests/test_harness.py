@@ -223,6 +223,21 @@ def test_csi_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.data, blk.data)
 
 
+def test_csi_csv_roundtrip_is_bit_exact(tmp_path):
+    tiny = np.nextafter(0.0, 1.0)
+    edges = np.array([-0.0, 0.0, np.inf, -np.inf, tiny, -tiny, 2.5e-310, 1.0, -3.25, 1e300])
+    pairs = np.array(list(itertools.product(edges, repeat=2)))    # (re, im) rows
+    full = CsiBlock(pairs.view(complex).reshape(10, 10))
+    strided = CsiBlock(full.data[::2, 1::3])
+    for i, blk in enumerate((full, strided)):
+        path = tmp_path / f"csi{i}.csv"
+        write_csi_csv(blk, str(path))
+        back = read_csi_csv(str(path))
+        assert back.data.shape == blk.data.shape
+        np.testing.assert_array_equal(back.data.view(np.int64),
+                                      np.ascontiguousarray(blk.data).view(np.int64))
+
+
 def _campaign_cfg(**over):
     base = dict(m=6, t=32, snr_db=[10.0], trials=8, seed=7, grid_points=512)
     base.update(over)
