@@ -102,9 +102,7 @@ def _cmd_estimate(args) -> int:
         params = camp.scenario_from_config(cfg)
         csi = synthesize_csi(geom, params, np.random.default_rng(
             np.random.SeedSequence(cfg.seed, spawn_key=(5, 0))))
-    ecfg = EstimatorConfig(grid_points=cfg.grid_points, refine=cfg.refine,
-                           source_count=cfg.source_count)
-    est = run_estimator(csi, geom, ecfg)
+    est = run_estimator(csi, geom, EstimatorConfig(grid_points=cfg.grid_points))
     rows = [ResultRow(None, "theta_hat", est.theta_hat, None, 1, cfg.seed)]
     rows += [ResultRow(None, f"phi_hat_{t}", v, None, 1, cfg.seed)
              for t, v in enumerate(est.phi_hat)]

@@ -53,8 +53,6 @@ class CampaignConfig:
     finite_t_trials: int = 2000
     mc_bound_trials: int = 20000
     grid_points: int = 2048
-    refine: bool = True
-    source_count: int = 2
     phi_walk_std: float = 0.5
 
     def __post_init__(self):
@@ -66,7 +64,6 @@ class CampaignConfig:
         _check_int(self.t, "t", minimum=2)
         _check_int(self.trials, "trials", minimum=1)
         _check_int(self.grid_points, "grid_points", minimum=64)
-        _check_int(self.source_count, "source_count", minimum=1)
         _check_int(self.finite_t_trials, "finite_t_trials", minimum=2)
         _check_int(self.mc_bound_trials, "mc_bound_trials", minimum=2)
         _check_int(self.seed, "seed", minimum=0)
@@ -87,8 +84,8 @@ class CampaignConfig:
             raise ConfigError("field 'snr_db': entries must be finite")
         if self.mode not in MODES:
             raise ConfigError(f"field 'mode': must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.refine, bool) or not isinstance(self.finite_t, bool):
-            raise ConfigError("fields 'refine' and 'finite_t' must be booleans")
+        if not isinstance(self.finite_t, bool):
+            raise ConfigError(f"field 'finite_t': must be a boolean, got {self.finite_t!r}")
         if self.h_s.mode == "fixed" and len(self.h_s.re) != self.m:
             raise ConfigError(
                 f"field 'h_s': fixed vector length {len(self.h_s.re)} does not match m={self.m}"

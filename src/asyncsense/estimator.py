@@ -27,13 +27,17 @@ blocks share its stack.  :func:`estimate_batch` runs the pipeline on a stack;
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.signal import find_peaks
 
 from .array_model import ArrayGeometry, CsiBlock, steering_matrix
 from .exceptions import DegenerateProjectionError, EstimationStageError
+
+# The model has exactly a static and a dynamic path, so the signal subspace
+# has two dimensions and the disambiguation step picks between two peaks.
+_SOURCES = 2
 
 # Peak value this far above its neighbours marks a numerical pole of the
 # noiseless pseudospectrum; parabolic interpolation through a pole is
@@ -55,28 +59,36 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs of the pipeline; defaults follow the reference campaign."""
+    """Size of the MUSIC angle grid; the default follows the reference campaign."""
 
     grid_points: int = 2048
-    refine: bool = True
-    source_count: int = 2
 
     def __post_init__(self):
         if self.grid_points < 64:
             raise ValueError(f"grid_points must be >= 64, got {self.grid_points}")
-        if self.source_count < 1:
-            raise ValueError(f"source_count must be >= 1, got {self.source_count}")
 
 
 @dataclass(frozen=True)
 class MusicDiagnostics:
-    eigenvalues: np.ndarray          # ascending
-    peak_angles: np.ndarray
-    peak_heights: np.ndarray
-    peak_variances: np.ndarray       # beam-magnitude variance used to disambiguate
-    eigen_gap_ratio: float
-    has_dominant_gap: bool
-    refined: bool
+    """MUSIC's outcome for a stack of n blocks, one row per block; ``diag[k]`` is block k's.
+
+    The peak columns hold the two highest maxima, highest first; a block with
+    one maximum repeats it in the second column with variance -inf.
+    """
+
+    eigenvalues: np.ndarray          # (n, M), ascending
+    peak_angles: np.ndarray          # (n, 2)
+    peak_heights: np.ndarray         # (n, 2)
+    peak_variances: np.ndarray       # (n, 2) beam-magnitude variance used to disambiguate
+    eigen_gap_ratio: np.ndarray      # (n,)
+    refined: np.ndarray              # (n,) False where a pole or an edge skipped refinement
+
+    @property
+    def has_dominant_gap(self):
+        return self.eigen_gap_ratio > _EIGEN_GAP_THRESHOLD
+
+    def __getitem__(self, k):
+        return MusicDiagnostics(*(getattr(self, f.name)[k] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -94,14 +106,14 @@ class BatchEstimate:
     """Pipeline output for a stack of n blocks, one row per block.
 
     ``errors[k]`` is the stage-tagged failure of block k, or None.  Rows of
-    failed blocks hold NaN in ``phi_hat`` and ``d_hat`` (and in ``theta_hat``
-    when MUSIC itself failed) and ``diagnostics[k]`` is None when MUSIC failed.
+    failed blocks hold NaN in ``phi_hat`` and ``d_hat``; when a stage raised,
+    they hold NaN in ``theta_hat`` and in the ``diagnostics`` arrays too.
     """
 
     theta_hat: np.ndarray            # (n,)
     phi_hat: np.ndarray              # (n, T)
     d_hat: np.ndarray                # (n, T)
-    diagnostics: tuple
+    diagnostics: MusicDiagnostics
     errors: tuple
 
     def result(self, k: int) -> EstimateResult:
@@ -127,21 +139,21 @@ def _hermitian(x: np.ndarray) -> np.ndarray:
     return x.conj().transpose(0, 2, 1)
 
 
-def _select_peaks(spectrum: np.ndarray, count: int):
-    """The `count` highest local maxima (scipy.signal.find_peaks) of each
-    spectrum row, highest first.
+def _select_peaks(spectrum: np.ndarray):
+    """The two highest local maxima (scipy.signal.find_peaks) of each spectrum
+    row, highest first.
 
-    Returns (index, valid), both (n, count); ``valid`` is True on a prefix of
-    each row, and rows with fewer maxima repeat their first pick after it.  A
-    row without any maximum takes its argmax.
+    Returns (index, valid), both (n, 2); ``valid`` is True on a prefix of each
+    row, and a row with one maximum repeats it after it.  A row without any
+    maximum takes its argmax.
     """
-    index = np.empty((spectrum.shape[0], count), dtype=np.intp)
-    valid = np.zeros((spectrum.shape[0], count), dtype=bool)
+    index = np.empty((spectrum.shape[0], _SOURCES), dtype=np.intp)
+    valid = np.zeros((spectrum.shape[0], _SOURCES), dtype=bool)
     for k, row in enumerate(spectrum):
         peaks = find_peaks(row)[0]
         if peaks.size == 0:
             peaks = np.array([int(np.argmax(row))])
-        peaks = peaks[np.argsort(row[peaks])[::-1][:count]]
+        peaks = peaks[np.argsort(row[peaks])[::-1][:_SOURCES]]
         index[k, :peaks.size] = peaks
         index[k, peaks.size:] = peaks[0]
         valid[k, :peaks.size] = True
@@ -170,20 +182,17 @@ def _refine_peaks(grid: np.ndarray, spectrum: np.ndarray, best: np.ndarray):
 
 
 def _music(h: np.ndarray, geom: ArrayGeometry, cfg: EstimatorConfig):
-    """MUSIC on a stack of blocks; returns (theta_hat (n,), diagnostics tuple)."""
+    """MUSIC on a stack of blocks; returns (theta_hat (n,), MusicDiagnostics)."""
     n, m, t = h.shape
     if m != geom.m:
         raise ValueError(f"CSI has {m} rows but geometry says m={geom.m}")
-    if m <= cfg.source_count:
-        raise ValueError(
-            f"need m > source_count for a noise subspace, got m={m}, "
-            f"source_count={cfg.source_count}"
-        )
+    if m <= _SOURCES:
+        raise ValueError(f"need m > {_SOURCES} antennas for a noise subspace, got m={m}")
     if t < 3:
         raise ValueError(f"need at least 3 snapshots, got {t}")
     cov = h @ _hermitian(h) / t
     eigval, eigvec = np.linalg.eigh(cov)
-    noise_dim = m - cfg.source_count
+    noise_dim = m - _SOURCES
 
     noise_floor = np.maximum(eigval[:, :noise_dim].mean(axis=1), _TINY)
     with np.errstate(over="ignore"):
@@ -200,33 +209,16 @@ def _music(h: np.ndarray, geom: ArrayGeometry, cfg: EstimatorConfig):
     z = w @ stacked
     spectrum = 1.0 / np.maximum(np.einsum("nkg,nkg->ng", z, z), _TINY)
 
-    peaks, valid = _select_peaks(spectrum, cfg.source_count)
+    peaks, valid = _select_peaks(spectrum)
     # dynamic-vs-static disambiguation: the dynamic beam modulates |a^H h_t|
     beams = manifold.T[peaks].conj()
     variances = np.where(valid, (np.abs(beams @ h) / m).var(axis=2), -np.inf)
     best = peaks[np.arange(n), np.argmax(variances, axis=1)]
 
-    if cfg.refine:
-        theta_hat, refined = _refine_peaks(grid, spectrum, best)
-    else:
-        theta_hat, refined = grid[best], np.zeros(n, dtype=bool)
-
-    angles = grid[peaks]
-    heights = np.take_along_axis(spectrum, peaks, axis=1)
-    diags = tuple(
-        MusicDiagnostics(
-            eigenvalues=eigval[k],
-            peak_angles=angles[k, :c],
-            peak_heights=heights[k, :c],
-            peak_variances=variances[k, :c],
-            eigen_gap_ratio=ratio,
-            has_dominant_gap=ratio > _EIGEN_GAP_THRESHOLD,
-            refined=was_refined,
-        )
-        for k, (c, ratio, was_refined)
-        in enumerate(zip(valid.sum(axis=1).tolist(), gap_ratio.tolist(), refined.tolist()))
-    )
-    return theta_hat, diags
+    theta_hat, refined = _refine_peaks(grid, spectrum, best)
+    return theta_hat, MusicDiagnostics(eigval, grid[peaks],
+                                       np.take_along_axis(spectrum, peaks, axis=1),
+                                       variances, gap_ratio, refined)
 
 
 def _beamspace(theta_hat: np.ndarray, geom: ArrayGeometry):
@@ -299,12 +291,16 @@ def estimate_batch(h: np.ndarray, geom: ArrayGeometry,
     except EstimationStageError as err:
         if len(h) > 1:
             parts = [estimate_batch(h[k:k + 1], geom, cfg) for k in range(len(h))]
+            diags = MusicDiagnostics(*(np.concatenate([getattr(p.diagnostics, f.name)
+                                                           for p in parts])
+                                       for f in fields(MusicDiagnostics)))
             return BatchEstimate(*(np.concatenate([getattr(p, name) for p in parts])
                                    for name in ("theta_hat", "phi_hat", "d_hat")),
-                                 sum((p.diagnostics for p in parts), ()),
-                                 sum((p.errors for p in parts), ()))
-        nan = np.full((1, h.shape[2]), np.nan)
-        return BatchEstimate(np.full(1, np.nan), nan, nan.copy(), (None,), (err,))
+                                 diags, sum((p.errors for p in parts), ()))
+        nan, peaks = np.full((1, h.shape[2]), np.nan), np.full((1, _SOURCES), np.nan)
+        diag = MusicDiagnostics(np.full(h.shape[:2], np.nan), peaks, peaks.copy(), peaks.copy(),
+                                np.full(1, np.nan), np.zeros(1, dtype=bool))
+        return BatchEstimate(np.full(1, np.nan), nan, nan.copy(), diag, (err,))
 
 
 def _stack_of_one(csi: CsiBlock) -> np.ndarray:
@@ -313,8 +309,8 @@ def _stack_of_one(csi: CsiBlock) -> np.ndarray:
 
 def music_aoa(csi: CsiBlock, geom: ArrayGeometry, cfg: EstimatorConfig = EstimatorConfig()):
     """MUSIC AoA estimate with peak disambiguation; returns (theta_hat, diagnostics)."""
-    theta_hat, diags = _music(_stack_of_one(csi), geom, cfg)
-    return float(theta_hat[0]), diags[0]
+    theta_hat, diag = _music(_stack_of_one(csi), geom, cfg)
+    return float(theta_hat[0]), diag[0]
 
 
 def beamspace_basis(theta_hat: float, geom: ArrayGeometry):

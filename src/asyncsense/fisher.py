@@ -455,19 +455,23 @@ def efim_theta_schur(geom: ArrayGeometry, params: ScenarioParams) -> float:
     return float(ro.j_theta_theta - np.sum(_schur_terms(ro)))
 
 
-def efim_theta_closed(geom: ArrayGeometry, params: ScenarioParams) -> float:
-    """Closed-form equivalent Fisher information of theta_d.
+def _efim_theta(g: SteeringGeometry, d: np.ndarray, sigma2: float) -> np.ndarray:
+    """Equivalent Fisher information of theta_d for gain sequences d of shape (..., T).
 
         J_theta^equ = |d|^2 Gamma / (sigma2 M)
                       - sum_t Im{(b^H a a^H h_s - a^H a b^H h_s) d_t^*}^2 / (sigma2 M Delta)
     """
-    _check_sigma2(params.sigma2)
-    m = geom.m
-    g = steering_geometry(geom, params.theta_d, params.h_s).checked()
+    m = g.a.size
     c = np.conj(g.ab) * g.ah - m * g.bh
-    first = float(np.vdot(params.d, params.d).real) * g.gamma / (params.sigma2 * m)
-    second = float(np.sum(np.imag(c * params.d.conj()) ** 2)) / (params.sigma2 * m * g.delta)
-    return first - second
+    return (np.sum(np.abs(d) ** 2, axis=-1) * g.gamma / (sigma2 * m)
+            - np.sum(np.imag(c * np.conj(d)) ** 2, axis=-1) / (sigma2 * m * g.delta))
+
+
+def efim_theta_closed(geom: ArrayGeometry, params: ScenarioParams) -> float:
+    """Closed-form equivalent Fisher information of theta_d (see :func:`_efim_theta`)."""
+    _check_sigma2(params.sigma2)
+    g = steering_geometry(geom, params.theta_d, params.h_s).checked()
+    return float(_efim_theta(g, params.d, params.sigma2))
 
 
 def efim_psi_t(geom: ArrayGeometry, params: ScenarioParams, t: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from asyncsense import (CampaignConfig, ConfigError, HsSpec, ResultRow, emit_con
 from asyncsense.csvio import read_matrix_csv
 import asyncsense.campaign as campaign_mod
 from asyncsense import cli, fisher
-from asyncsense.array_model import ArrayGeometry, CsiBlock
+from asyncsense.array_model import ArrayGeometry, CsiBlock, steering_vector
 from asyncsense.exceptions import EstimationStageError
 
 
@@ -40,7 +40,7 @@ def test_parse_config_minimal_defaults(tmp_path):
     cfg = parse_config(str(path))
     assert cfg.spacing == 0.5 and cfg.p_d == 1.0 and cfg.mode == "estimator"
     assert cfg.h_s.mode == "random" and cfg.h_s.power == 1.0
-    assert cfg.grid_points == 2048 and cfg.refine is True
+    assert cfg.grid_points == 2048
 
 
 def test_parse_config_rejects_unknown_keys(tmp_path):
@@ -48,9 +48,10 @@ def test_parse_config_rejects_unknown_keys(tmp_path):
     path.write_text('{"m": 4, "t": 16, "snr_db": [10.0], "trials": 3, "bogus_key": 1}')
     with pytest.raises(ConfigError, match="bogus_key"):
         parse_config(str(path))
-    # removed fields: the worker-thread knob, the verify trial count and the
-    # output path (--out covers it)
-    for key, value in (("threads", 2), ("verify_trials", 40), ("out", "x.csv")):
+    # removed fields: the worker-thread knob, the verify trial count, the
+    # output path (--out covers it) and the two-path estimator's fixed design
+    for key, value in (("threads", 2), ("verify_trials", 40), ("out", "x.csv"),
+                       ("source_count", 2), ("refine", True)):
         path.write_text(json.dumps(_minimal_dict(**{key: value})))
         with pytest.raises(ConfigError, match=f"unknown field\\(s\\): {key}"):
             parse_config(str(path))
@@ -329,7 +330,7 @@ def test_campaign_tolerates_failures_below_the_gate(monkeypatch):
     _failing_estimator(monkeypatch, lambda i: "phase" if i == 33 else None)
     res = run_campaign(_campaign_cfg(trials=40), keep_trials=True)
     failed = [r for r in res.trial_results[0] if r.failed]
-    assert [(r.trial, r.diagnostics) for r in failed] == [(33, "phase")]
+    assert [(r.trial, r.stage) for r in failed] == [(33, "phase")]
     fail = [r for r in res.rows if r.metric == "estimator_fail_rate"][0]
     assert fail.value == pytest.approx(1 / 40)
     assert [r.trials for r in res.rows if r.metric.startswith("mse_")] == [39] * 3
@@ -338,22 +339,25 @@ def test_campaign_tolerates_failures_below_the_gate(monkeypatch):
 def test_trial_results_carry_diagnostics():
     res = run_campaign(_campaign_cfg(trials=2), keep_trials=True)
     for tr in res.trial_results[0]:
-        assert tr.diagnostics.startswith("gap=")
+        assert tr.stage is None and not tr.failed
         assert tr.theta_sq_err >= 0 and tr.d_mse >= 0 and tr.phi_mse >= 0
 
 
-def _load_tracing(monkeypatch):
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench(monkeypatch, name):
+    """perfbench/<name>.py loaded by path, writing no bytecode."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracing_targets_resolve(monkeypatch):
     # the benchmark tracer looks every target up by name; a rename must fail here
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load_perfbench(monkeypatch, "tracing")
     for module, name in tracing.TARGETS:
         mod = importlib.import_module(f"asyncsense.{module}")
         assert callable(getattr(mod, name, None)), f"asyncsense.{module}.{name}"
@@ -364,7 +368,7 @@ def test_tracing_targets_resolve(monkeypatch):
 
 def test_tracing_reads_the_crb_dimension(tmp_path, monkeypatch, capsys):
     # the tracer takes constrained_crb's positional (fim, basis) and basis.u.shape
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load_perfbench(monkeypatch, "tracing")
     m, t = 4, 8
     cfg = tmp_path / "fim.json"
     cfg.write_text(json.dumps(_minimal_dict(m=m, t=t)))
@@ -383,3 +387,55 @@ def test_tracing_reads_the_crb_dimension(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert cli.constrained_crb is fisher.constrained_crb
     assert tracing.layer_metrics(tracer, [wall])["fisher.dense_dim"] == 1 + 2 * m + 3 * t
+
+
+def test_benchmark_jobs_run_on_the_library(tmp_path, monkeypatch):
+    # every benchmark job, untraced and traced, against this library: a change
+    # the benchmark cannot drive fails here rather than in a benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))        # worker.py imports tracing by name
+    had_tracing = "tracing" in sys.modules
+    try:
+        run, worker = _load_perfbench(monkeypatch, "run"), _load_perfbench(monkeypatch, "worker")
+    finally:
+        if not had_tracing:
+            sys.modules.pop("tracing", None)
+    run.write_inputs("campaign", 11, str(tmp_path))
+    plan = json.loads((tmp_path / "inputs.json").read_text())
+    fails = worker.Failures()
+    tracer = worker.tracing.Tracer()
+    for kind, spec in plan["jobs"].items():
+        job = worker.JOBS[kind](str(tmp_path), spec, fails)
+        records = [job.request(0)]
+        tracer.install()
+        try:
+            with tracer.request(kind):
+                records.append(job.request(0))
+        finally:
+            tracer.uninstall()
+        job.finish(records)
+    assert list(fails) == []
+    assert len(tracer.roots) == len(plan["jobs"])
+
+
+def test_tracer_reads_the_music_record(monkeypatch):
+    # no benchmark workload calls music_aoa, so its observer runs only here
+    tracing = _load_perfbench(monkeypatch, "tracing")
+    rng = np.random.default_rng(2)
+    noise = CsiBlock(rng.standard_normal((8, 128)) + 1j * rng.standard_normal((8, 128)))
+    # a noiseless dynamic path on a grid node is a pole, which refinement skips
+    theta = -np.pi / 2 + 1400.5 * np.pi / 2048
+    d = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    pole = CsiBlock(np.outer(steering_vector(ArrayGeometry(6), theta), d))
+    estimator = importlib.import_module("asyncsense.estimator")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.request("music"):
+            _, noise_diag = estimator.music_aoa(noise, ArrayGeometry(8))
+            _, pole_diag = estimator.music_aoa(pole, ArrayGeometry(6))
+    finally:
+        tracer.uninstall()
+    assert not noise_diag.has_dominant_gap and noise_diag.refined
+    assert pole_diag.has_dominant_gap and not pole_diag.refined
+    assert tracer.counts["music.calls"] == 2
+    assert tracer.counts["music.no_gap"] == 1 and tracer.counts["music.not_refined"] == 1
