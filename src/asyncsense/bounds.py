@@ -22,14 +22,17 @@ import numpy as np
 
 from .array_model import ArrayGeometry, GainDistribution, gains_from_normals
 from .exceptions import DegenerateBoundError
-from .fisher import SteeringGeometry, _efim_theta, _reordered, steering_geometry
+from .fisher import (SteeringGeometry, _check_sigma2, _efim_theta, _reordered,
+                     steering_geometry)
 from .rng import as_rng
 
-# Monte Carlo runs tolerate at most this fraction of discarded (singular or
-# non-positive-information) trials before the whole run is reported bad.
+# Monte Carlo runs tolerate at most this fraction of discarded trials (gain
+# draws with non-positive equivalent information of theta_d) before the whole
+# run is reported bad.
 MAX_DISCARD_RATE = 1e-3
 
-_CHUNK_ELEMENTS = 2 ** 21
+# Gains per Monte Carlo chunk: a few MB of temporaries at any trial count.
+_CHUNK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,7 @@ def hrcrb_theta(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma2: floa
     """
     if t < 1:
         raise ValueError(f"need T >= 1, got {t}")
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    _check_sigma2(sigma2)
     g = steering_geometry(geom, theta, h_s).checked()
 
     if mode == "closed-form":
@@ -116,24 +118,17 @@ def hrcrb_theta(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma2: floa
     if trials < 2:
         raise ValueError("monte-carlo mode needs at least 2 trials")
     rng = as_rng(seed)
-    d = np.sqrt(dist.p_d / 2.0) * (
-        rng.standard_normal((trials, t)) + 1j * rng.standard_normal((trials, t))
-    )
-    info = _efim_theta(g, d, sigma2)
-    good = info > 0
-    discard_rate = 1.0 - good.sum() / trials
-    if discard_rate > MAX_DISCARD_RATE:
-        raise DegenerateBoundError(
-            f"{discard_rate:.2%} of gain draws yielded non-positive information"
-        )
-    kept = info[good]
-    mean_info = math.fsum(kept) / kept.size
+    re, im = rng.standard_normal((trials, t)), rng.standard_normal((trials, t))
+
+    def per_draw(rows):
+        info = _efim_theta(g, np.sqrt(dist.p_d / 2.0) * (re[rows] + 1j * im[rows]), sigma2)
+        return info, info > 0
+
+    kept, mean_info, stderr, discard_rate = _monte_carlo(per_draw, trials, t)
     if mean_info <= 0:
         raise DegenerateBoundError("mean information is not positive")
-    stderr = float(np.std(kept, ddof=1)) / np.sqrt(kept.size) / mean_info ** 2
-    return BoundReport(value=1.0 / mean_info, method="monte-carlo",
-                       mc_trials=int(kept.size), mc_stderr=stderr,
-                       discard_rate=float(discard_rate))
+    return BoundReport(value=1.0 / mean_info, method="monte-carlo", mc_trials=kept,
+                       mc_stderr=stderr / mean_info ** 2, discard_rate=discard_rate)
 
 
 def ahrcrb_cgs(geom: ArrayGeometry, theta: float, h_s: np.ndarray,
@@ -142,56 +137,41 @@ def ahrcrb_cgs(geom: ArrayGeometry, theta: float, h_s: np.ndarray,
 
         AHRCRB_d = 2 sigma2 / M + (sigma2 / M) (|a^H h_s|^2 + M^2 p_d) / Delta
     """
-    if sigma2 <= 0 or p_d <= 0:
-        raise ValueError("sigma2 and p_d must be positive")
+    _check_sigma2(sigma2)
+    if not 0 < p_d < np.inf:
+        raise ValueError(f"need 0 < p_d < inf, got {p_d}")
     g = steering_geometry(geom, theta, h_s).checked()
     m = geom.m
     value = 2.0 * sigma2 / m + sigma2 / m * (abs(g.ah) ** 2 + m * m * p_d) / g.delta
     return BoundReport(value=float(value), method="closed-form")
 
 
-def _cgs_trace_draws(g: SteeringGeometry, h_s: np.ndarray, sigma2: float, d: np.ndarray):
+def _cgs_trace_draws(g: SteeringGeometry, sigma2: float, d: np.ndarray):
     """Per-trial (1/T) sum_t Tr([J_psi_t^equ^-1]_{1:2,1:2}) for draws d of shape (n, T).
 
-    Vectorized over trials and snapshots; the 3x3 inverses use cofactor
-    expansion so singular trials can be flagged instead of raising.
-    Returns (values, valid_mask).
+    J_psi_t^equ = J_psi_t - v_t v_t^T / L_t, with v_t = J_theta,psi_t and L_t the
+    leave-one-out information of theta_d (``fisher.efim_psi_t``), is a rank-one
+    update of J_psi_t, whose inverse is closed-form (``fisher.psi_block_inverse``).
+    By Sherman-Morrison, with chi_t = a^H h_s + M d_t and c = ``SteeringGeometry.c``:
+
+        Tr([J_psi_t^equ^-1]_{1:2,1:2}) = sigma2 (|chi_t|^2 / Delta + 2) / M + |u_t|^2 / J,
+        u_t = (a^H b d_t - j chi_t Im{c d_t^*} / Delta) / M,
+
+    where J = L_t - v_t^T J_psi_t^-1 v_t is the full equivalent information of
+    theta_d (``fisher._efim_theta``), the same for every t.  With Delta > 0,
+    every J_psi_t^equ is positive definite exactly when J > 0, which is the
+    returned validity mask.  The first term has expectation AHRCRB_d under
+    unconstrained draws and the second is >= 0, which is why the finite-T bound
+    converges to AHRCRB_d from above.  Returns (values, valid_mask).
     """
-    ab, ah, bh, delta = g.ab, g.ah, g.bh, g.delta
-    m = h_s.size
-    s2 = sigma2
-
-    chi = ah + m * d
-    q = float(np.vdot(h_s, h_s).real) + m * np.abs(d) ** 2 + 2 * np.real(np.conj(ah) * d)
-    v1 = np.real(ab * d) / s2
-    v2 = np.imag(ab * d) / s2
-    v3 = -np.imag(np.conj(ab) * np.abs(d) ** 2 + bh * np.conj(d)) / s2
-
-    # correction v J_psi^-1 v^T via the closed-form inverse (w = (Im, -Re, M))
-    vw = v1 * chi.imag - v2 * chi.real + v3 * m
-    corr = s2 / (m * delta) * vw ** 2 + s2 / m * (v1 ** 2 + v2 ** 2)
-
-    j_tt = float(np.vdot(g.b, g.b).real) / s2 * np.sum(np.abs(d) ** 2, axis=1)
-    loo = j_tt[:, None] - (np.sum(corr, axis=1)[:, None] - corr)
-    valid = np.all(loo > 0, axis=1)
-    loo_safe = np.where(loo > 0, loo, 1.0)
-
-    a00 = m / s2 - v1 ** 2 / loo_safe
-    a01 = -v1 * v2 / loo_safe
-    a02 = -chi.imag / s2 - v1 * v3 / loo_safe
-    a11 = m / s2 - v2 ** 2 / loo_safe
-    a12 = chi.real / s2 - v2 * v3 / loo_safe
-    a22 = q / s2 - v3 ** 2 / loo_safe
-
-    det = (a00 * (a11 * a22 - a12 ** 2)
-           - a01 * (a01 * a22 - a12 * a02)
-           + a02 * (a01 * a12 - a11 * a02))
-    det_scale = np.maximum((m / s2) ** 2 * np.abs(a22), np.finfo(float).tiny)
-    valid &= np.all(det > 1e-14 * det_scale, axis=1)
-    det_safe = np.where(det > 0, det, 1.0)
-
-    trace = ((a11 * a22 - a12 ** 2) + (a00 * a22 - a02 ** 2)) / det_safe
-    return trace.mean(axis=1), valid
+    m, t = g.a.size, d.shape[-1]
+    chi = g.ah + m * d
+    u = (g.ab * d - 1j * chi * np.imag(g.c * np.conj(d)) / g.delta) / m
+    info = _efim_theta(g, d, sigma2)
+    valid = info > 0
+    values = (sigma2 * np.mean(np.abs(chi) ** 2 / g.delta + 2, axis=-1) / m
+              + np.sum(np.abs(u) ** 2, axis=-1) / (t * np.where(valid, info, 1.0)))
+    return values, valid
 
 
 def finite_t_hrcrb_cgs(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma2: float,
@@ -201,30 +181,41 @@ def finite_t_hrcrb_cgs(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma
         raise ValueError(f"need T >= 2, got {t}")
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    h_s = np.asarray(h_s, dtype=complex)
+    _check_sigma2(sigma2)
     g = steering_geometry(geom, theta, h_s).checked()
+    normals = as_rng(seed).standard_normal((2, trials, t))
 
-    d = gains_from_normals(np.moveaxis(as_rng(seed).standard_normal((2, trials, t)), 0, -2),
-                           dist)
-    chunk = max(1, _CHUNK_ELEMENTS // t)
+    def per_draw(rows):
+        return _cgs_trace_draws(g, sigma2, gains_from_normals(
+            np.moveaxis(normals[:, rows], 0, -2), dist))
+
+    kept, mean, stderr, discard_rate = _monte_carlo(per_draw, trials, t)
+    return BoundReport(value=mean, method="monte-carlo", mc_trials=kept,
+                       mc_stderr=stderr, discard_rate=discard_rate)
+
+
+def _monte_carlo(per_draw, trials: int, t: int):
+    """Mean over the valid trials of ``per_draw(rows) -> (values, valid)``, in row chunks.
+
+    Each chunk holds about ``_CHUNK_ELEMENTS`` gains.  Returns (kept, mean, stderr
+    of the mean, discard rate); more than MAX_DISCARD_RATE discarded trials raise.
+    """
     values = np.empty(trials)
     valid = np.empty(trials, dtype=bool)
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
-        values[lo:hi], valid[lo:hi] = _cgs_trace_draws(g, h_s, sigma2, d[lo:hi])
-
+    step = max(1, _CHUNK_ELEMENTS // t)
+    for lo in range(0, trials, step):
+        rows = slice(lo, min(lo + step, trials))
+        values[rows], valid[rows] = per_draw(rows)
     discard_rate = 1.0 - valid.sum() / trials
     if discard_rate > MAX_DISCARD_RATE:
         raise DegenerateBoundError(
-            f"{discard_rate:.2%} of gain draws hit a singular per-snapshot EFIM"
+            f"{discard_rate:.2%} of gain draws gave non-positive equivalent information "
+            f"of theta_d"
         )
     kept = values[valid]
     mean = math.fsum(kept) / kept.size
     stderr = float(np.std(kept, ddof=1)) / np.sqrt(kept.size)
-    return BoundReport(value=mean, method="monte-carlo", mc_trials=int(kept.size),
-                       mc_stderr=stderr, discard_rate=float(discard_rate))
+    return int(kept.size), mean, stderr, float(discard_rate)
 
 
 def verify_hrcrb_chain(geom: ArrayGeometry, t: int, dist: GainDistribution, sigma2: float,

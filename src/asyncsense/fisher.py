@@ -175,8 +175,9 @@ class ConstraintBasis:
 class SteeringGeometry:
     """The steering pair, its inner products with h_s, and the scalars the bounds use.
 
+        c = b^H a a^H h_s - a^H a b^H h_s,   Xi = |c|^2,
         Gamma = |a|^2 |b|^2 - |a^H b|^2,   Delta = |a|^2 |h_s|^2 - |a^H h_s|^2,
-        Xi = |(b^H a a^H - a^H a b^H) h_s|^2,   scale = |a|^2 |h_s|^2.
+        scale = |a|^2 |h_s|^2.
     """
 
     a: np.ndarray
@@ -184,6 +185,7 @@ class SteeringGeometry:
     ab: complex
     ah: complex
     bh: complex
+    c: complex
     gamma: float
     delta: float
     xi: float
@@ -207,16 +209,17 @@ def steering_geometry(geom: ArrayGeometry, theta: float, h_s) -> SteeringGeometr
     a, b = _steering_pair(geom, theta)
     ab, ah, bh = np.vdot(a, b), np.vdot(a, h_s), np.vdot(b, h_s)
     scale = m * float(np.vdot(h_s, h_s).real)
-    return SteeringGeometry(a=a, b=b, ab=ab, ah=ah, bh=bh,
+    c = np.conj(ab) * ah - m * bh
+    return SteeringGeometry(a=a, b=b, ab=ab, ah=ah, bh=bh, c=c,
                             gamma=m * float(np.vdot(b, b).real) - abs(ab) ** 2,
                             delta=scale - abs(ah) ** 2,
-                            xi=abs(np.conj(ab) * ah - m * bh) ** 2,
+                            xi=abs(c) ** 2,
                             scale=scale)
 
 
 def _check_sigma2(sigma2: float):
-    if not sigma2 > 0:
-        raise ValueError(f"Fisher information needs sigma2 > 0, got {sigma2}")
+    if not 0 < sigma2 < np.inf:
+        raise ValueError(f"Fisher information needs 0 < sigma2 < inf, got {sigma2}")
 
 
 def joint_fim(geom: ArrayGeometry, params: ScenarioParams) -> FimMatrix:
@@ -458,13 +461,12 @@ def efim_theta_schur(geom: ArrayGeometry, params: ScenarioParams) -> float:
 def _efim_theta(g: SteeringGeometry, d: np.ndarray, sigma2: float) -> np.ndarray:
     """Equivalent Fisher information of theta_d for gain sequences d of shape (..., T).
 
-        J_theta^equ = |d|^2 Gamma / (sigma2 M)
-                      - sum_t Im{(b^H a a^H h_s - a^H a b^H h_s) d_t^*}^2 / (sigma2 M Delta)
+        J_theta^equ = |d|^2 Gamma / (sigma2 M) - sum_t Im{c d_t^*}^2 / (sigma2 M Delta),
+        c = b^H a a^H h_s - a^H a b^H h_s   (SteeringGeometry.c)
     """
     m = g.a.size
-    c = np.conj(g.ab) * g.ah - m * g.bh
     return (np.sum(np.abs(d) ** 2, axis=-1) * g.gamma / (sigma2 * m)
-            - np.sum(np.imag(c * np.conj(d)) ** 2, axis=-1) / (sigma2 * m * g.delta))
+            - np.sum(np.imag(g.c * np.conj(d)) ** 2, axis=-1) / (sigma2 * m * g.delta))
 
 
 def efim_theta_closed(geom: ArrayGeometry, params: ScenarioParams) -> float:

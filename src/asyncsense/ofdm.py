@@ -32,30 +32,6 @@ class ReferenceSignal:
         if self.x.ndim != 3:
             raise ValueError("reference signal must have shape (K, M_T, N)")
 
-    @property
-    def k(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def m_t(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[2]
-
-
-@dataclass(frozen=True)
-class ReceivedBlock:
-    """Stack of per-subcarrier received matrices, shape (K, M_R, N)."""
-
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=complex))
-        if self.y.ndim != 3:
-            raise ValueError("received block must have shape (K, M_R, N)")
-
 
 @dataclass(frozen=True)
 class SufficiencyReport:
@@ -97,8 +73,13 @@ def simulate_received(h_k: np.ndarray, x_k: np.ndarray, sigma2: float, seed) -> 
 
 
 def ls_estimate(y_k: np.ndarray, x_k: np.ndarray) -> np.ndarray:
-    """LS CSI estimate Hhat_k = Y_k X_k^H (exact inverse for semi-unitary X_k)."""
-    return np.asarray(y_k, dtype=complex) @ np.asarray(x_k, dtype=complex).conj().T
+    """LS CSI estimate Hhat_k = Y_k X_k^H (exact inverse for semi-unitary X_k).
+
+    Leading axes of Y_k and X_k broadcast, so stacks of subcarriers (and trials)
+    are estimated in one call.
+    """
+    x_k = np.asarray(x_k, dtype=complex)
+    return np.asarray(y_k, dtype=complex) @ np.swapaxes(x_k.conj(), -1, -2)
 
 
 def sufficiency_check(m_r: int, m_t: int, n: int, k: int, sigma2: float,
@@ -130,7 +111,7 @@ def sufficiency_check(m_r: int, m_t: int, n: int, k: int, sigma2: float,
     # matched/ML estimate straight from the raw received block
     s_raw = np.real(np.sum(hx.conj()[None] * y, axis=(1, 2, 3))) / e_raw
     # matched/ML estimate from the LS CSI, computed through its own route
-    h_hat = y @ np.swapaxes(ref.x.conj(), 1, 2)[None]    # (trials, K, M_R, M_T)
+    h_hat = ls_estimate(y, ref.x)                        # (trials, K, M_R, M_T)
     s_csi = np.real(np.sum(h_dir.conj()[None] * h_hat, axis=(1, 2, 3))) / e_csi
 
     mse_raw = float(np.mean((s_raw - s_true) ** 2))

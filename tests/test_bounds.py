@@ -1,11 +1,17 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
 from asyncsense import (ArrayGeometry, BoundReport, ChainCheckReport, CollinearityError,
-                        GainDistribution, ScenarioParams, ahrcrb_cgs, finite_t_hrcrb_cgs,
-                        hrcrb_theta, reordered_blocks, rho_theta, steering_derivative,
-                        steering_vector, verify_hrcrb_chain)
+                        GainDistribution, ScenarioParams, ahrcrb_cgs, efim_psi_t,
+                        finite_t_hrcrb_cgs, hrcrb_theta, reordered_blocks, rho_theta,
+                        steering_derivative, steering_vector, verify_hrcrb_chain)
 from asyncsense.array_model import gains_from_normals
+from asyncsense.bounds import _cgs_trace_draws
+from asyncsense.campaign import random_scenario
+from asyncsense.exceptions import DegenerateBoundError
 from asyncsense.fisher import _reordered, steering_geometry
 
 
@@ -179,6 +185,121 @@ def test_finite_t_decreases_toward_asymptote(reference_scenario):
               for t in (16, 64, 256)]
     assert values[0] > values[1] > values[2] > asym
     assert values[2] / asym < 1.02
+
+
+@pytest.mark.parametrize("bound", ["hrcrb_theta", "ahrcrb_cgs", "finite_t_hrcrb_cgs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bounds_reject_non_finite_sigma2(reference_scenario, bound, bad):
+    geom, theta, h_s, sigma2, p_d = reference_scenario
+    dist = GainDistribution(p_d)
+    calls = {
+        "hrcrb_theta": lambda s2: hrcrb_theta(geom, theta, h_s, s2, 8, dist),
+        "ahrcrb_cgs": lambda s2: ahrcrb_cgs(geom, theta, h_s, s2, p_d),
+        "finite_t_hrcrb_cgs": lambda s2: finite_t_hrcrb_cgs(geom, theta, h_s, s2, 8, dist,
+                                                            trials=10, seed=0),
+    }
+    with pytest.raises(ValueError):
+        calls[bound](bad)
+    if bound == "ahrcrb_cgs":
+        with pytest.raises(ValueError):
+            ahrcrb_cgs(geom, theta, h_s, sigma2, bad)
+
+
+def _per_block_trace(geom, params):
+    """mean_t Tr([efim_psi_t^-1]_{1:2,1:2}) and whether every block is positive definite."""
+    try:
+        blocks = np.stack([efim_psi_t(geom, params, t) for t in range(params.t)])
+    except DegenerateBoundError:
+        return None, False
+    if not np.all(np.linalg.eigvalsh(blocks) > 0):
+        return None, False
+    return float(np.mean(np.trace(np.linalg.inv(blocks)[:, :2, :2], axis1=1, axis2=2))), True
+
+
+@pytest.mark.parametrize("t", [2, 3, 8, 32])
+def test_cgs_trace_closed_form_matches_the_per_block_efim(t):
+    rng = np.random.default_rng(100 + t)
+    for _ in range(25):
+        geom, params = random_scenario(rng, m_range=(2, 12), t_range=(t, t))
+        g = steering_geometry(geom, params.theta_d, params.h_s).checked()
+        d = np.stack([params.d, rng.uniform(0.05, 3.0) * params.d[::-1]])
+        values, valid = _cgs_trace_draws(g, params.sigma2, d)
+        for row, value, ok in zip(d, values, valid):
+            want, pd = _per_block_trace(geom, ScenarioParams(params.theta_d, params.h_s, row,
+                                                             params.phi_o, params.sigma2))
+            assert ok == pd
+            if pd:
+                assert value == pytest.approx(want, rel=1e-10)
+
+
+def test_cgs_trace_flags_zero_gains_invalid(reference_scenario):
+    geom, theta, h_s, sigma2, p_d = reference_scenario
+    g = steering_geometry(geom, theta, h_s).checked()
+    rng = np.random.default_rng(12)
+    d = np.stack([rng.standard_normal(6) + 1j * rng.standard_normal(6), np.zeros(6)])
+    values, valid = _cgs_trace_draws(g, sigma2, d)
+    assert valid.tolist() == [True, False]
+    assert np.all(np.isfinite(values))
+
+
+def _cgs_trace_mpmath(a, b, h_s, d, sigma2, dps=50):
+    """The leave-one-out definition of the per-snapshot trace, in dps-digit arithmetic."""
+    with mpmath.workdps(dps):
+        a, b, h_s, d = ([mpmath.mpc(complex(z)) for z in v] for v in (a, b, h_s, d))
+        m, s2 = len(a), mpmath.mpf(sigma2)
+        ab = mpmath.fsum(mpmath.conj(x) * y for x, y in zip(a, b))
+        ah = mpmath.fsum(mpmath.conj(x) * y for x, y in zip(a, h_s))
+        bh = mpmath.fsum(mpmath.conj(x) * y for x, y in zip(b, h_s))
+        j_psi, v = [], []
+        for dt in d:
+            chi = ah + m * dt
+            q = mpmath.fsum(abs(h + x * dt) ** 2 for h, x in zip(h_s, a))
+            j_psi.append(mpmath.matrix([[m, 0, -chi.imag], [0, m, chi.real],
+                                        [-chi.imag, chi.real, q]]) / s2)
+            v.append(mpmath.matrix([[(ab * dt).real, (ab * dt).imag,
+                                     -(mpmath.conj(ab) * abs(dt) ** 2
+                                       + bh * mpmath.conj(dt)).imag]]) / s2)
+        j_tt = mpmath.fsum(abs(x) ** 2 for x in b) * mpmath.fsum(abs(x) ** 2 for x in d) / s2
+        corr = [(vt * mpmath.inverse(jp) * vt.T)[0, 0] for vt, jp in zip(v, j_psi)]
+        traces = []
+        for t, (vt, jp) in enumerate(zip(v, j_psi)):
+            loo = j_tt - mpmath.fsum(corr) + corr[t]
+            inv = mpmath.inverse(jp - vt.T * vt / loo)
+            traces.append(inv[0, 0] + inv[1, 1])
+        return float(mpmath.fsum(traces) / len(traces))
+
+
+def test_cgs_trace_near_collinear_matches_mpmath():
+    # theta = 0 makes a exactly all-ones, so a^H a = M holds in both arithmetics
+    geom = ArrayGeometry(6)
+    rng = np.random.default_rng(13)
+    a = steering_vector(geom, 0.0)
+    e = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    e -= a * np.vdot(a, e) / 6
+    e /= np.linalg.norm(e)
+    h_s = 0.7 * a + np.sqrt(3e-9 * 0.49 * 6) * e
+    g = steering_geometry(geom, 0.0, h_s).checked()
+    assert 2e-9 < g.delta / g.scale < 4e-9
+    d = rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8))
+    values, valid = _cgs_trace_draws(g, 0.4, d)
+    want = _cgs_trace_mpmath(g.a, g.b, h_s, d[0], 0.4)
+    assert valid[0]
+    assert abs(values[0] - want) <= 1e-6 * want
+
+
+def test_hrcrb_monte_carlo_memory_stays_chunked():
+    # 20000 trials x T=128: the two normal draws are 41 MB, the chunk temporaries a few MB
+    geom = ArrayGeometry(8)
+    rng = np.random.default_rng(14)
+    h_s = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
+    tracemalloc.start()
+    try:
+        hrcrb_theta(geom, 0.35, h_s, 0.1, 128, GainDistribution(1.0), "monte-carlo",
+                    trials=20000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_verify_hrcrb_chain_clean(reference_scenario):
