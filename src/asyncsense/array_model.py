@@ -21,6 +21,7 @@ performance bounds are true lower bounds for the simulated estimators.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,13 @@ class ArrayGeometry:
             raise ValueError(f"antenna count m must be an integer >= 2, got {self.m}")
         if not (self.spacing > 0 and np.isfinite(self.spacing)):
             raise ValueError(f"element spacing must be positive, got {self.spacing}")
+
+    @cached_property
+    def phase_ramp(self) -> np.ndarray:
+        """j 2 pi spacing m for m = 0..M-1 (read-only): a(theta) = exp(ramp sin(theta))."""
+        ramp = 1j * 2 * np.pi * self.spacing * np.arange(self.m)
+        ramp.flags.writeable = False
+        return ramp
 
 
 @dataclass(frozen=True)
@@ -132,22 +140,24 @@ class CsiBlock:
         return self.data.shape[1]
 
 
-def _check_theta(theta: float):
-    if not -np.pi / 2 < theta < np.pi / 2:
+def _check_theta(theta):
+    """Raise unless theta, one angle or an ndarray of them, lies in (-pi/2, pi/2)."""
+    inside = (np.all(np.abs(theta) < np.pi / 2) if isinstance(theta, np.ndarray)
+              else -np.pi / 2 < theta < np.pi / 2)
+    if not inside:
         raise ValueError(f"theta must lie in the open interval (-pi/2, pi/2), got {theta}")
 
 
-def steering_vector(geom: ArrayGeometry, theta: float) -> np.ndarray:
-    """ULA steering vector a(theta); unit-modulus entries, |a|^2 = M."""
+def steering_vector(geom: ArrayGeometry, theta) -> np.ndarray:
+    """ULA steering vectors a(theta), shape (..., M) for theta of shape (...); |a|^2 = M."""
     _check_theta(theta)
-    m = np.arange(geom.m)
-    return np.exp(1j * 2 * np.pi * geom.spacing * m * np.sin(theta))
+    return np.exp(geom.phase_ramp * np.sin(theta)[..., None])
 
 
-def _steering_pair(geom: ArrayGeometry, theta: float) -> tuple:
-    """(a(theta), b(theta)) with a evaluated once."""
+def _steering_pair(geom: ArrayGeometry, theta) -> tuple:
+    """(a(theta), b(theta)) with a evaluated once; theta of shape (...)."""
     a = steering_vector(geom, theta)
-    return a, 1j * 2 * np.pi * geom.spacing * np.arange(geom.m) * np.cos(theta) * a
+    return a, geom.phase_ramp * np.cos(theta)[..., None] * a
 
 
 def steering_matrix(geom: ArrayGeometry, thetas: np.ndarray) -> np.ndarray:

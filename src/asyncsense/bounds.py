@@ -37,7 +37,10 @@ _CHUNK_ELEMENTS = 2 ** 16
 
 @dataclass(frozen=True)
 class RhoDecomposition:
-    """The quantities behind the asynchrony penalty rho = (1 - Xi/(2 Gamma Delta))^-1."""
+    """The quantities behind the asynchrony penalty rho = (1 - Xi/(2 Gamma Delta))^-1.
+
+    Scalars for one (theta, h_s), arrays of the batch shape for a batch.
+    """
 
     gamma: float
     delta: float
@@ -79,11 +82,12 @@ class ChainCheckReport:
     max_schur_rel_error: float
 
 
-def rho_theta(geom: ArrayGeometry, theta: float, h_s: np.ndarray) -> RhoDecomposition:
+def rho_theta(geom: ArrayGeometry, theta, h_s: np.ndarray) -> RhoDecomposition:
     """Gamma, Delta, Xi and rho = (1 - Xi / (2 Gamma Delta))^-1.
 
     Gamma = |a|^2|b|^2 - |a^H b|^2,  Delta = |a|^2|h_s|^2 - |a^H h_s|^2,
-    Xi = |(b^H a a^H - a^H a b^H) h_s|^2.
+    Xi = |(b^H a a^H - a^H a b^H) h_s|^2.  theta of shape (...) and h_s of
+    shape (..., M) give fields of shape (...); one collinear row raises.
     """
     g = steering_geometry(geom, theta, h_s).checked()
     rho = 1.0 / (1.0 - g.xi / (2.0 * g.gamma * g.delta))
@@ -164,7 +168,7 @@ def _cgs_trace_draws(g: SteeringGeometry, sigma2: float, d: np.ndarray):
     unconstrained draws and the second is >= 0, which is why the finite-T bound
     converges to AHRCRB_d from above.  Returns (values, valid_mask).
     """
-    m, t = g.a.size, d.shape[-1]
+    m, t = g.a.shape[-1], d.shape[-1]
     chi = g.ah + m * d
     u = (g.ab * d - 1j * chi * np.imag(g.c * np.conj(d)) / g.delta) / m
     info = _efim_theta(g, d, sigma2)

@@ -124,6 +124,10 @@ class ReorderedFim:
     j_psi: np.ndarray
     j_theta_psi: np.ndarray
 
+    def efim_theta(self) -> np.ndarray:
+        """Equivalent Fisher information of theta_d by the per-snapshot Schur complement."""
+        return self.j_theta_theta - np.sum(_schur_terms(self), axis=-1)
+
     def assemble(self) -> np.ndarray:
         """Dense (..., 1 + 3T, 1 + 3T) matrices over (theta, psi_0, ..., psi_{T-1})."""
         *batch, t, _ = self.j_theta_psi.shape
@@ -178,6 +182,8 @@ class SteeringGeometry:
         c = b^H a a^H h_s - a^H a b^H h_s,   Xi = |c|^2,
         Gamma = |a|^2 |b|^2 - |a^H b|^2,   Delta = |a|^2 |h_s|^2 - |a^H h_s|^2,
         scale = |a|^2 |h_s|^2.
+
+    For a batch, a and b have shape (..., M) and every scalar shape (...).
     """
 
     a: np.ndarray
@@ -192,29 +198,56 @@ class SteeringGeometry:
     scale: float
 
     def checked(self) -> "SteeringGeometry":
-        """This record, or CollinearityError when Delta is at rounding level of its scale."""
-        if self.delta <= COLLINEARITY_RTOL * max(self.scale, np.finfo(float).tiny):
+        """This record, or CollinearityError unless Delta exceeds rounding level of its scale.
+
+        On a batch one collinear (or NaN) row fails the whole record; no row is dropped.
+        """
+        separated = self.delta > COLLINEARITY_RTOL * self.scale
+        if not separated.all():
+            ratio = self.delta / np.maximum(self.scale, np.finfo(float).tiny)
             raise CollinearityError(
-                f"static channel is collinear with the steering vector (Delta={self.delta:.3e})"
+                f"static channel is collinear with the steering vector in "
+                f"{separated.size - np.count_nonzero(separated)} of {separated.size} row(s) "
+                f"(smallest Delta/scale {np.min(ratio):.3e})"
             )
         return self
 
 
-def steering_geometry(geom: ArrayGeometry, theta: float, h_s) -> SteeringGeometry:
-    """Gamma, Delta, Xi and the inner products behind them; collinear h_s is allowed here."""
+def steering_geometry(geom: ArrayGeometry, theta, h_s) -> SteeringGeometry:
+    """Gamma, Delta, Xi and the inner products behind them; collinear h_s is allowed here.
+
+    theta has shape (...) and h_s shape (..., M).  With |a_k| = 1, projecting
+    h_s off a is removing the mean of u = conj(a) h_s.  With w = u - a^H h_s / M,
+    kappa = 2 pi spacing cos(theta), kbar = (M - 1) / 2 and s = sum_k (k - kbar) w_k:
+
+        Delta = M sum |w_k|^2,   c = j kappa M s,   Xi = |c|^2,
+        Gamma = kappa^2 M^2 (M^2 - 1) / 12,   scale = Delta + |a^H h_s|^2,
+        a^H h_s = sum u_k,   a^H b = j kappa M kbar,   b^H h_s = -j kappa (s + kbar a^H h_s),
+
+    none of which cancels near collinearity: the rounding of a^H h_s / M shifts
+    every w_k alike, and sum_k (k - kbar) = 0.  Only elementwise operations and
+    last-axis sums are used, and no two scalars are multiplied as full complex
+    numbers, so row i of a batch equals the unbatched call on row i bit for bit.
+    """
     h_s = np.asarray(h_s, dtype=complex)
-    if h_s.size != geom.m:
-        raise ValueError(f"h_s length {h_s.size} does not match geometry m={geom.m}")
     m = geom.m
+    if h_s.shape[-1:] != (m,):
+        raise ValueError(f"h_s of shape {h_s.shape} does not match geometry m={m}")
     a, b = _steering_pair(geom, theta)
-    ab, ah, bh = np.vdot(a, b), np.vdot(a, h_s), np.vdot(b, h_s)
-    scale = m * float(np.vdot(h_s, h_s).real)
-    c = np.conj(ab) * ah - m * bh
-    return SteeringGeometry(a=a, b=b, ab=ab, ah=ah, bh=bh, c=c,
-                            gamma=m * float(np.vdot(b, b).real) - abs(ab) ** 2,
-                            delta=scale - abs(ah) ** 2,
-                            xi=abs(c) ** 2,
-                            scale=scale)
+    kappa = 2 * np.pi * geom.spacing * np.cos(theta)
+    kbar = (m - 1) / 2
+    u = a.conj() * h_s
+    ah = np.add.reduce(u, axis=-1)
+    w = u - ah[..., None] / m
+    s = np.add.reduce((np.arange(m) - kbar) * w, axis=-1)
+    wf = w.view(float)
+    delta = m * np.add.reduce(wf * wf, axis=-1)
+    c = 1j * kappa * m * s
+    return SteeringGeometry(a=a, b=b, ab=1j * kappa * (m * kbar), ah=ah,
+                            bh=-1j * kappa * (s + kbar * ah), c=c,
+                            gamma=kappa * kappa * (m * m * (m * m - 1) // 12),
+                            delta=delta, xi=c.real * c.real + c.imag * c.imag,
+                            scale=delta + ah.real * ah.real + ah.imag * ah.imag)
 
 
 def _check_sigma2(sigma2: float):
@@ -454,8 +487,7 @@ def efim_theta_schur(geom: ArrayGeometry, params: ScenarioParams) -> float:
     """Equivalent Fisher information of theta_d by the per-snapshot Schur complement."""
     # the snapshot blocks are singular when collinear
     g = steering_geometry(geom, params.theta_d, params.h_s).checked()
-    ro = _reordered(g, params.h_s, params.d, params.sigma2)
-    return float(ro.j_theta_theta - np.sum(_schur_terms(ro)))
+    return float(_reordered(g, params.h_s, params.d, params.sigma2).efim_theta())
 
 
 def _efim_theta(g: SteeringGeometry, d: np.ndarray, sigma2: float) -> np.ndarray:
@@ -464,7 +496,7 @@ def _efim_theta(g: SteeringGeometry, d: np.ndarray, sigma2: float) -> np.ndarray
         J_theta^equ = |d|^2 Gamma / (sigma2 M) - sum_t Im{c d_t^*}^2 / (sigma2 M Delta),
         c = b^H a a^H h_s - a^H a b^H h_s   (SteeringGeometry.c)
     """
-    m = g.a.size
+    m = g.a.shape[-1]
     return (np.sum(np.abs(d) ** 2, axis=-1) * g.gamma / (sigma2 * m)
             - np.sum(np.imag(g.c * np.conj(d)) ** 2, axis=-1) / (sigma2 * m * g.delta))
 

@@ -10,7 +10,7 @@ from asyncsense import (ArrayGeometry, BoundReport, ChainCheckReport, Collineari
                         steering_derivative, steering_vector, verify_hrcrb_chain)
 from asyncsense.array_model import gains_from_normals
 from asyncsense.bounds import _cgs_trace_draws
-from asyncsense.campaign import random_scenario
+from asyncsense.campaign import RHO_BLOCK, _rho_draws, check_rho_range, random_scenario
 from asyncsense.exceptions import DegenerateBoundError
 from asyncsense.fisher import _reordered, steering_geometry
 
@@ -66,6 +66,55 @@ def test_rho_binet_cauchy_wedge_identity():
         # Xi may vanish, so the floor is at rounding level of Gamma Delta
         assert abs(dec.xi - xi_wedge) <= 1e-10 * max(dec.xi, xi_wedge,
                                                      1e-14 * dec.gamma * dec.delta)
+
+
+def test_rho_draw_blocks_keep_the_per_draw_stream():
+    # blocks written in place reproduce the draws of the one-draw-at-a-time loop
+    ref = np.random.default_rng(2024)
+    want = []
+    for _ in range(2000):
+        m = int(ref.integers(2, 17))
+        theta = float(ref.uniform(-1.4, 1.4))
+        want.append((m, theta, ref.standard_normal(m) + 1j * ref.standard_normal(m)))
+    rng = np.random.default_rng(2024)
+    ms, thetas, z = np.empty(2000, dtype=int), np.empty(2000), np.empty((2000, 2, 16))
+    for rows in (slice(0, RHO_BLOCK), slice(RHO_BLOCK, 2000)):
+        _rho_draws(rng, ms[rows], thetas[rows], z[rows])
+    for i, (m, theta, h_s) in enumerate(want):
+        assert ms[i] == m and thetas[i] == theta
+        assert np.array_equal(z[i, 0, :m] + 1j * z[i, 1, :m], h_s)
+    assert rng.random() == ref.random()
+
+
+def test_rho_range_check_equals_the_per_draw_evaluation(monkeypatch):
+    # grouping by M and blocking neither skips nor changes any draw's value
+    import asyncsense.campaign as campaign_mod
+    trials = RHO_BLOCK + 300
+    rng = np.random.default_rng(31)
+    draws = np.empty(trials, dtype=int), np.empty(trials), np.empty((trials, 2, 16))
+    _rho_draws(rng, *draws)
+    worst = 0.0
+    for m, theta, z in zip(*draws):
+        dec = rho_theta(ArrayGeometry(int(m)), float(theta), z[0, :m] + 1j * z[1, :m])
+        gd = dec.gamma * dec.delta
+        worst = max(worst, (dec.xi - gd) / gd, 1.0 - dec.rho, dec.rho - 2.0)
+    for _ in range(max(10, trials // 100)):
+        m = int(rng.integers(3, 17))
+        geom = ArrayGeometry(m)
+        theta = float(rng.uniform(-1.4, 1.4))
+        worst = max(worst, abs(rho_theta(geom, theta, _orthogonal_h(geom, theta, rng)).rho - 1))
+    seen = []
+
+    def recording(geom, theta, h_s):
+        if np.ndim(theta):
+            seen.extend(zip(theta, map(complex, h_s[:, 0])))
+        return rho_theta(geom, theta, h_s)
+
+    monkeypatch.setattr(campaign_mod, "rho_theta", recording)
+    check = check_rho_range(trials, 31)
+    assert check.passed and check.threshold == 1e-12
+    assert check.worst == worst
+    assert sorted(seen) == sorted(zip(draws[1], draws[2][:, 0, 0] + 1j * draws[2][:, 1, 0]))
 
 
 def test_rho_collinear_raises():
@@ -284,7 +333,7 @@ def test_cgs_trace_near_collinear_matches_mpmath():
     values, valid = _cgs_trace_draws(g, 0.4, d)
     want = _cgs_trace_mpmath(g.a, g.b, h_s, d[0], 0.4)
     assert valid[0]
-    assert abs(values[0] - want) <= 1e-6 * want
+    assert abs(values[0] - want) <= 1e-12 * want
 
 
 def test_hrcrb_monte_carlo_memory_stays_chunked():

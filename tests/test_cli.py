@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import numpy as np
@@ -97,19 +96,25 @@ def test_verify_command_default(cfg_path, capsys):
 
 
 def test_verify_fails_when_a_rho_draw_raises(monkeypatch, capsys):
-    # a draw that raises fails the command; the check never skips it
+    # one collinear row in a batch of draws fails the command; the check never skips it
     import asyncsense.campaign as campaign_mod
+    from asyncsense import steering_vector
     real = campaign_mod.rho_theta
-    calls = itertools.count()
+    injected = []
 
-    def flaky(geom, theta, h_s):
-        if next(calls) == 37:
-            raise ArithmeticError("injected failure on draw 37")
+    def one_row_collinear(geom, theta, h_s):
+        if np.ndim(theta) == 1 and not injected:
+            row = len(theta) // 2
+            h_s = h_s.copy()
+            h_s[row] = 1.7 * steering_vector(geom, theta[row])
+            injected.append(row)
         return real(geom, theta, h_s)
 
-    monkeypatch.setattr(campaign_mod, "rho_theta", flaky)
-    assert main(["verify", "--trials", "300"]) != 0
-    assert "injected failure on draw 37" in capsys.readouterr().err
+    monkeypatch.setattr(campaign_mod, "rho_theta", one_row_collinear)
+    assert main(["verify", "--trials", "300"]) == 2
+    assert injected
+    err = capsys.readouterr().err
+    assert "collinear with the steering vector in 1 of" in err
 
 
 def test_verify_failure_exit_3(monkeypatch, capsys):

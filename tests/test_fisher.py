@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncsense import (ArrayGeometry, CollinearityError, ScenarioParams,
                         SingularMatrixError, constrained_crb, constraint_basis,
@@ -8,7 +11,7 @@ from asyncsense import (ArrayGeometry, CollinearityError, ScenarioParams,
                         reordered_blocks, steering_derivative, steering_vector)
 from asyncsense.campaign import random_scenario
 from asyncsense.exceptions import DegenerateBoundError
-from asyncsense.fisher import ParamLayout
+from asyncsense.fisher import ParamLayout, steering_geometry
 
 
 def _assert_fim_close(a, b, rtol):
@@ -438,3 +441,117 @@ def test_efim_psi_t_degenerate_when_all_gains_zero():
     params = ScenarioParams(0.1, np.ones(3) + 1j, np.zeros(4), np.zeros(4), 1.0)
     with pytest.raises(DegenerateBoundError):
         efim_psi_t(geom, params, 0)
+
+
+_GEOMETRY_FIELDS = ("a", "b", "ab", "ah", "bh", "c", "gamma", "delta", "xi", "scale")
+
+
+def _row(g, field, i=()):
+    return np.asarray(getattr(g, field))[i].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(2, 16), spacing=st.sampled_from([0.5, 0.23, 0.71, 1.3]),
+       n=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1), offset=st.integers(0, 7))
+def test_steering_geometry_rows_equal_unbatched_calls(m, spacing, n, seed, offset):
+    # bit for bit: no field of a row may depend on the other rows of its batch
+    rng = np.random.default_rng(seed)
+    geom = ArrayGeometry(m, spacing)
+    theta = rng.uniform(-1.5, 1.5, n)
+    h_s = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    h_s[::2] = 0.9 * steering_vector(geom, theta[::2]) + 10.0 ** -offset * h_s[::2]
+    g = steering_geometry(geom, theta, h_s)
+    assert g.a.shape == g.b.shape == (n, m) and g.delta.shape == g.c.shape == (n,)
+    for i in range(n):
+        one = steering_geometry(geom, float(theta[i]), h_s[i])
+        assert _row(one, "a") == steering_vector(geom, float(theta[i])).tobytes()
+        for field in _GEOMETRY_FIELDS:
+            assert _row(g, field, i) == _row(one, field), field
+
+
+def test_steering_geometry_takes_any_leading_axes():
+    rng = np.random.default_rng(21)
+    geom = ArrayGeometry(5, 0.37)
+    theta = rng.uniform(-1.4, 1.4, (2, 3))
+    h_s = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
+    grid = steering_geometry(geom, theta, h_s)
+    flat = steering_geometry(geom, theta.ravel(), h_s.reshape(6, 5))
+    for field in _GEOMETRY_FIELDS:
+        assert getattr(grid, field).shape[:2] == (2, 3)
+        assert getattr(grid, field).tobytes() == getattr(flat, field).tobytes(), field
+    with pytest.raises(ValueError, match="does not match geometry m=5"):
+        steering_geometry(geom, theta, h_s[..., :4])
+    with pytest.raises(ValueError, match="theta must lie"):
+        steering_geometry(geom, np.array([0.2, np.pi / 2, 0.1]), h_s[0])
+
+
+def test_checked_batch_raises_on_any_collinear_row_and_drops_none():
+    rng = np.random.default_rng(22)
+    geom = ArrayGeometry(6, 0.4)
+    theta = rng.uniform(-1.2, 1.2, 5)
+    h_s = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    g = steering_geometry(geom, theta, h_s)
+    assert g.checked() is g and g.delta.shape == (5,)
+    h_s[3] = (0.8 - 0.2j) * steering_vector(geom, theta[3])
+    g = steering_geometry(geom, theta, h_s)
+    ratio = g.delta / g.scale
+    assert np.argmin(ratio) == 3 and ratio[3] < 1e-15
+    with pytest.raises(CollinearityError, match=r"in 1 of 5 row\(s\)") as err:
+        g.checked()
+    assert f"smallest Delta/scale {ratio.min():.3e}" in str(err.value)
+    h_s[3] = np.nan
+    with pytest.raises(CollinearityError, match=r"in 1 of 5 row\(s\)"):
+        steering_geometry(geom, theta, h_s).checked()
+
+
+def _mp_dot(x, y):
+    return mpmath.fsum(mpmath.conj(p) * q for p, q in zip(x, y))
+
+
+def _geometry_mpmath(geom, theta, h_s, dps=50):
+    """Delta, c and Xi by their definitions in dps-digit arithmetic, a(theta) exact."""
+    with mpmath.workdps(dps):
+        k = range(geom.m)
+        phase = 2 * mpmath.pi * mpmath.mpf(geom.spacing)
+        a = [mpmath.expj(phase * i * mpmath.sin(theta)) for i in k]
+        b = [1j * phase * i * mpmath.cos(theta) * a[i] for i in k]
+        h = [mpmath.mpc(complex(x)) for x in h_s]
+        delta = _mp_dot(a, a).real * _mp_dot(h, h).real - abs(_mp_dot(a, h)) ** 2
+        c = _mp_dot(b, a) * _mp_dot(a, h) - _mp_dot(a, a) * _mp_dot(b, h)
+        return delta, c, abs(c) ** 2
+
+
+@pytest.mark.parametrize("ratio", [4e-12, 2e-8])
+def test_steering_geometry_near_collinear_matches_mpmath(ratio):
+    # theta = 0 makes a exactly all-ones, so the double and the 50-digit a agree
+    geom = ArrayGeometry(8)
+    a = steering_vector(geom, 0.0)
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        e = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        e -= a * np.vdot(a, e) / 8
+        e /= np.linalg.norm(e)
+        alpha = complex(rng.standard_normal(), rng.standard_normal())
+        h_s = alpha * a + abs(alpha) * np.sqrt(ratio * 8) * e
+        g = steering_geometry(geom, 0.0, h_s).checked()
+        assert 0.5 * ratio < g.delta / g.scale < 2 * ratio
+        delta, c, xi = _geometry_mpmath(geom, 0, h_s)
+        assert abs(g.delta - delta) <= 1e-10 * delta
+        assert abs(g.xi - xi) <= 1e-10 * xi
+        assert abs(g.c - complex(c)) <= 1e-10 * abs(c)
+
+
+def test_gamma_closed_form_matches_its_definition():
+    rng = np.random.default_rng(24)
+    for m in range(2, 17):
+        for spacing in (0.5, 0.23, 1.3):
+            geom = ArrayGeometry(m, spacing)
+            theta = float(rng.uniform(-1.5, 1.5))
+            g = steering_geometry(geom, theta, np.ones(m))
+            with mpmath.workdps(30):
+                a = [mpmath.mpc(complex(x)) for x in g.a]
+                b = [mpmath.mpc(complex(x)) for x in g.b]
+                ab = _mp_dot(a, b)
+                gamma = _mp_dot(a, a).real * _mp_dot(b, b).real - abs(ab) ** 2
+                assert abs(g.gamma - gamma) <= 1e-13 * gamma
+                assert abs(g.ab - complex(ab)) <= 1e-13 * abs(ab)
