@@ -36,19 +36,6 @@ _CHUNK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
-class RhoDecomposition:
-    """The quantities behind the asynchrony penalty rho = (1 - Xi/(2 Gamma Delta))^-1.
-
-    Scalars for one (theta, h_s), arrays of the batch shape for a batch.
-    """
-
-    gamma: float
-    delta: float
-    xi: float
-    rho: float
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """A scalar bound with its provenance; stderr/trials only for Monte Carlo."""
 
@@ -82,16 +69,11 @@ class ChainCheckReport:
     max_schur_rel_error: float
 
 
-def rho_theta(geom: ArrayGeometry, theta, h_s: np.ndarray) -> RhoDecomposition:
-    """Gamma, Delta, Xi and rho = (1 - Xi / (2 Gamma Delta))^-1.
-
-    Gamma = |a|^2|b|^2 - |a^H b|^2,  Delta = |a|^2|h_s|^2 - |a^H h_s|^2,
-    Xi = |(b^H a a^H - a^H a b^H) h_s|^2.  theta of shape (...) and h_s of
-    shape (..., M) give fields of shape (...); one collinear row raises.
+def rho_theta(geom: ArrayGeometry, theta, h_s: np.ndarray) -> SteeringGeometry:
+    """The checked geometry record of theta (...) and h_s (..., M), whose Gamma, Delta,
+    Xi and rho = (1 - Xi / (2 Gamma Delta))^-1 have shape (...); one collinear row raises.
     """
-    g = steering_geometry(geom, theta, h_s).checked()
-    rho = 1.0 / (1.0 - g.xi / (2.0 * g.gamma * g.delta))
-    return RhoDecomposition(gamma=g.gamma, delta=g.delta, xi=g.xi, rho=rho)
+    return steering_geometry(geom, theta, h_s).checked()
 
 
 def hrcrb_theta(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma2: float,
@@ -241,10 +223,8 @@ def verify_hrcrb_chain(geom: ArrayGeometry, t: int, dist: GainDistribution, sigm
     rng = as_rng(seed)
     draws_per, extra = divmod(trials, scenarios)
 
-    max_floor = -np.inf
-    max_jensen = -np.inf
+    max_floor = max_jensen = -np.inf
     max_schur = 0.0
-    total_draws = 0
 
     for k in range(scenarios):
         draws = draws_per + (k < extra)
@@ -256,7 +236,6 @@ def verify_hrcrb_chain(geom: ArrayGeometry, t: int, dist: GainDistribution, sigm
                 break
         d = gains_from_normals(rng.standard_normal((draws, 2, t)), dist)
         js = _reordered(g, h_s, d, sigma2).assemble()
-        total_draws += draws
 
         j_mean = js.mean(axis=0)
         inv_mean = np.linalg.inv(js).mean(axis=0)
@@ -272,10 +251,5 @@ def verify_hrcrb_chain(geom: ArrayGeometry, t: int, dist: GainDistribution, sigm
         max_jensen = max(max_jensen, (mid - jensen_rhs) / abs(jensen_rhs))
         max_schur = max(max_schur, abs(mid - schur_rhs) / abs(schur_rhs))
 
-    return ChainCheckReport(
-        scenarios=scenarios,
-        draws=total_draws,
-        max_floor_violation=float(max_floor),
-        max_jensen_violation=float(max_jensen),
-        max_schur_rel_error=float(max_schur),
-    )
+    return ChainCheckReport(scenarios, trials, float(max_floor), float(max_jensen),
+                            float(max_schur))

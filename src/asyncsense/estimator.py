@@ -30,7 +30,6 @@ import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .array_model import ArrayGeometry, CsiBlock, steering_matrix
 from .exceptions import DegenerateProjectionError, EstimationStageError
@@ -139,25 +138,45 @@ def _hermitian(x: np.ndarray) -> np.ndarray:
     return x.conj().transpose(0, 2, 1)
 
 
-def _select_peaks(spectrum: np.ndarray):
-    """The two highest local maxima (scipy.signal.find_peaks) of each spectrum
-    row, highest first.
+def _local_maxima(spectrum: np.ndarray):
+    """(row, column) of every local maximum of the spectrum rows, in row-major order.
 
-    Returns (index, valid), both (n, 2); ``valid`` is True on a prefix of each
-    row, and a row with one maximum repeats it after it.  A row without any
-    maximum takes its argmax.
+    A local maximum is a sample, or the middle (rounded down) of a run of equal
+    samples, that rises from the sample before it and falls to the sample after
+    it.  The first and last samples never count; a NaN neighbour breaks a maximum.
     """
-    index = np.empty((spectrum.shape[0], _SOURCES), dtype=np.intp)
-    valid = np.zeros((spectrum.shape[0], _SOURCES), dtype=bool)
-    for k, row in enumerate(spectrum):
-        peaks = find_peaks(row)[0]
-        if peaks.size == 0:
-            peaks = np.array([int(np.argmax(row))])
-        peaks = peaks[np.argsort(row[peaks])[::-1][:_SOURCES]]
-        index[k, :peaks.size] = peaks
-        index[k, peaks.size:] = peaks[0]
-        valid[k, :peaks.size] = True
-    return index, valid
+    # the rows as one sequence, each closed by a NaN that neither rises nor falls
+    x = np.concatenate([spectrum, np.full((len(spectrum), 1), np.nan)], axis=1).ravel()
+    up = x[:-1] < x[1:]
+    top = np.flatnonzero(up[:-1] & ~up[1:]) + 1
+    # a top followed by equal samples jumps to the last sample of its flat run
+    flat = np.flatnonzero(x[:-1] == x[1:])
+    run_end = flat[np.diff(flat, append=x.size) != 1] + 1
+    right = top.copy()
+    plateau = x[top] == x[top + 1]
+    right[plateau] = run_end[np.searchsorted(run_end, top[plateau])]
+    falls = x[right] > x[right + 1]
+    return np.divmod((top[falls] + right[falls]) // 2, spectrum.shape[1] + 1)
+
+
+def _select_peaks(spectrum: np.ndarray):
+    """(index, valid), both (n, 2): the two highest local maxima of each row, highest
+    first, equal heights lower index first.  ``valid`` is True on a prefix of each
+    row; a row with one maximum repeats it, and a row with none takes its argmax.
+    """
+    n = len(spectrum)
+    row, col = _local_maxima(spectrum)
+    order = np.lexsort((-spectrum[row, col], row))     # stable: ties keep index order
+    row, col = row[order], col[order]
+    count = np.bincount(row, minlength=n)
+    first = np.cumsum(count) - count
+    some, two = count > 0, count > 1
+    index = np.empty((n, _SOURCES), dtype=np.intp)
+    index[some, 0] = col[first[some]]
+    index[~some, 0] = np.argmax(spectrum[~some], axis=1)
+    index[:, 1] = index[:, 0]
+    index[two, 1] = col[first[two] + 1]
+    return index, np.stack([np.ones(n, dtype=bool), two], axis=1)
 
 
 def _refine_peaks(grid: np.ndarray, spectrum: np.ndarray, best: np.ndarray):

@@ -91,10 +91,11 @@ class ParamLayout:
         return v
 
     def unpack(self, v: np.ndarray):
-        theta_d = v[self.theta]
-        h_s = v[self.h_re] + 1j * v[self.h_im]
-        d = v[self.d_re] + 1j * v[self.d_im]
-        phi_o = v[self.phi]
+        """(theta_d, h_s, d, phi_o) from v of shape (..., dim), each with those leading axes."""
+        theta_d = v[..., self.theta]
+        h_s = v[..., self.h_re] + 1j * v[..., self.h_im]
+        d = v[..., self.d_re] + 1j * v[..., self.d_im]
+        phi_o = v[..., self.phi]
         return theta_d, h_s, d, phi_o
 
 
@@ -181,7 +182,7 @@ class SteeringGeometry:
 
         c = b^H a a^H h_s - a^H a b^H h_s,   Xi = |c|^2,
         Gamma = |a|^2 |b|^2 - |a^H b|^2,   Delta = |a|^2 |h_s|^2 - |a^H h_s|^2,
-        scale = |a|^2 |h_s|^2.
+        scale = |a|^2 |h_s|^2,   rho = (1 - Xi / (2 Gamma Delta))^-1 (asynchrony penalty).
 
     For a batch, a and b have shape (..., M) and every scalar shape (...).
     """
@@ -211,6 +212,10 @@ class SteeringGeometry:
                 f"(smallest Delta/scale {np.min(ratio):.3e})"
             )
         return self
+
+    @property
+    def rho(self):
+        return 1.0 / (1.0 - self.xi / (2.0 * self.gamma * self.delta))
 
 
 def steering_geometry(geom: ArrayGeometry, theta, h_s) -> SteeringGeometry:
@@ -315,19 +320,18 @@ def fim_numeric_oracle(geom: ArrayGeometry, params: ScenarioParams, step: float 
     m, t = params.m, params.t
     lay = ParamLayout(m, t)
 
-    def mean_vec(v: np.ndarray) -> np.ndarray:
+    # row i of each half steps parameter i alone
+    v0 = lay.pack(params.theta_d, params.h_s, params.d, params.phi_o)
+    v = np.repeat(v0[None], lay.dim, axis=0)
+    diag = np.arange(lay.dim)
+    means = []
+    for sign in (1.0, -1.0):
+        v[diag, diag] = v0 + sign * step
         theta_d, h_s, d, phi_o = lay.unpack(v)
         a = steering_vector(geom, theta_d)
-        return ((h_s[:, None] + np.outer(a, d)) * np.exp(1j * phi_o)[None, :]).ravel()
-
-    v0 = lay.pack(params.theta_d, params.h_s, params.d, params.phi_o)
-    jac = np.empty((m * t, lay.dim), dtype=complex)
-    for i in range(lay.dim):
-        vp = v0.copy()
-        vp[i] += step
-        vm = v0.copy()
-        vm[i] -= step
-        jac[:, i] = (mean_vec(vp) - mean_vec(vm)) / (2 * step)
+        means.append((h_s[:, :, None] + a[:, :, None] * d[:, None, :])
+                     * np.exp(1j * phi_o)[:, None, :])
+    jac = ((means[0] - means[1]) / (2 * step)).reshape(lay.dim, m * t).T
 
     complex_var = 2.0 * params.sigma2
     data = (2.0 / complex_var) * np.real(jac.conj().T @ jac)

@@ -1,4 +1,9 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -148,3 +153,27 @@ def test_numerical_failure_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["bounds", "--config", path.as_posix()]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_package_runs_without_scipy():
+    # numpy is the one runtime dependency: importing the package and the CLI,
+    # estimating a stack and running a campaign must load no scipy module
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import asyncsense, asyncsense.cli
+        from asyncsense import ArrayGeometry, CampaignConfig, run_campaign
+        from asyncsense.estimator import estimate_batch
+        rng = np.random.default_rng(0)
+        h = rng.standard_normal((2, 8, 16)) + 1j * rng.standard_normal((2, 8, 16))
+        est = estimate_batch(h, ArrayGeometry(8))
+        assert est.errors == (None, None)
+        run_campaign(CampaignConfig(m=8, t=32, snr_db=[10.0], trials=2))
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, f"{len(loaded)} scipy modules loaded: {loaded[:3]}"
+    """)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -2,13 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
-from asyncsense import (ArrayGeometry, CsiBlock, DegenerateProjectionError, EstimatorConfig,
-                        EstimationStageError, GainDistribution, ScenarioParams, ahrcrb_cgs,
-                        beamspace_basis, draw_dynamic_gains, estimate_cgs,
-                        estimate_phase_offsets, music_aoa, run_estimator, steering_vector,
-                        synthesize_csi)
-from asyncsense.estimator import estimate_batch
+from asyncsense import (ArrayGeometry, CampaignConfig, CsiBlock, DegenerateProjectionError,
+                        EstimatorConfig, EstimationStageError, GainDistribution, ScenarioParams,
+                        ahrcrb_cgs, beamspace_basis, draw_dynamic_gains, estimate_cgs,
+                        estimate_phase_offsets, music_aoa, run_campaign, run_estimator,
+                        steering_vector, synthesize_csi)
+import asyncsense.estimator as estimator_mod
+from asyncsense.estimator import _local_maxima, _select_peaks, estimate_batch
 
 GRID = EstimatorConfig().grid_points
 GRID_STEP = np.pi / GRID
@@ -324,3 +328,90 @@ def test_pipeline_mse_respects_cgs_bound(reference_scenario):
     stderr = np.std(errs, ddof=1) / np.sqrt(len(errs))
     bound = ahrcrb_cgs(geom, theta, h_s, sigma2, p_d).value
     assert mse >= bound - 3 * stderr
+
+
+def _find_peaks_selection(spectrum):
+    """The picker's contract built on scipy.signal.find_peaks, one row at a time."""
+    index = np.empty((len(spectrum), 2), dtype=int)
+    valid = np.zeros((len(spectrum), 2), dtype=bool)
+    for k, row in enumerate(spectrum):
+        peaks = find_peaks(row)[0].tolist() or [int(np.argmax(row))]
+        ranked = sorted(peaks, key=lambda i: (-row[i], i))[:2]
+        index[k] = ranked + ranked[:1] * (2 - len(ranked))
+        valid[k, :len(ranked)] = True
+    return index, valid
+
+
+@st.composite
+def _spectra(draw):
+    # small integer alphabets force plateaus and ties; one level gives all-flat rows
+    g = draw(st.integers(3, 64))
+    alphabet = [float(v) for v in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        alphabet.append(np.nan)
+    rows = st.lists(st.sampled_from(alphabet), min_size=g, max_size=g)
+    return np.array(draw(st.lists(rows, min_size=1, max_size=5)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(spectrum=_spectra())
+def test_peak_picker_matches_find_peaks(spectrum):
+    row, col = _local_maxima(spectrum)
+    index, valid = _select_peaks(spectrum)
+    for k, x in enumerate(spectrum):
+        peaks = find_peaks(x)[0]
+        assert col[row == k].tolist() == peaks.tolist()
+        if peaks.size == 0:
+            assert index[k].tolist() == [np.argmax(x)] * 2
+            assert valid[k].tolist() == [True, False]
+            continue
+        # the two largest heights, highest first; equal heights lower index first
+        heights = sorted(x[peaks], reverse=True)[:2]
+        assert x[index[k, :len(heights)]].tolist() == heights
+        assert valid[k].tolist() == [True, peaks.size > 1]
+        if peaks.size == 1:
+            assert index[k, 1] == index[k, 0]
+    want = _find_peaks_selection(spectrum)
+    np.testing.assert_array_equal(index, want[0])
+    np.testing.assert_array_equal(valid, want[1])
+
+
+def test_peak_picker_ranks_equal_heights_by_index():
+    x = np.zeros((1, 22))
+    x[0, [3, 11, 13, 15, 18]] = [3, 3, 3, 1, 2]
+    index, valid = _select_peaks(x)
+    assert index.tolist() == [[3, 11]] and valid.tolist() == [[True, True]]
+    # a plateau's maximum is its middle, rounded down
+    x[0, 3:7] = 5
+    assert _select_peaks(x)[0].tolist() == [[4, 11]]
+
+
+def test_peak_picker_matches_find_peaks_on_campaign_spectra(monkeypatch):
+    # criterion 7's scenario, one chunk per SNR point
+    spectra = []
+
+    def recording(spectrum):
+        spectra.append(spectrum.copy())
+        return _select_peaks(spectrum)
+
+    monkeypatch.setattr(estimator_mod, "_select_peaks", recording)
+    run_campaign(CampaignConfig(m=8, t=128, snr_db=[0.0, 10.0, 20.0], trials=32,
+                                seed=20240817))
+    assert len(spectra) == 3
+    for spectrum in spectra:
+        assert spectrum.shape == (32, GRID)
+        index, valid = _select_peaks(spectrum)
+        want = _find_peaks_selection(spectrum)
+        np.testing.assert_array_equal(index, want[0])
+        np.testing.assert_array_equal(valid, want[1])
+
+
+def test_music_finds_a_plateau_peak_at_broadside():
+    # real-valued CSI with a broadside dynamic path: the spectrum is symmetric
+    # about theta = 0, so the peak is a plateau of two bit-equal central nodes
+    rng = np.random.default_rng(3)
+    h_s, d = rng.standard_normal(8), rng.standard_normal(64)
+    h = h_s[:, None] + np.ones(8)[:, None] * d + 0.1 * rng.standard_normal((8, 64))
+    theta_hat, diag = music_aoa(CsiBlock(h), ArrayGeometry(8))
+    assert _grid_angle(GRID // 2 - 1) in diag.peak_angles
+    assert abs(theta_hat) < 1e-12

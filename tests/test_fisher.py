@@ -37,6 +37,16 @@ def test_layout_roundtrip():
     assert v[idx[0]] == d[2].real and v[idx[1]] == d[2].imag and v[idx[2]] == phi[2]
 
 
+def test_layout_unpacks_rows_like_single_vectors():
+    lay = ParamLayout(3, 4)
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal((2, 5, lay.dim))
+    batched = lay.unpack(v)
+    for i, j in np.ndindex(2, 5):
+        for got, want in zip(batched, lay.unpack(v[i, j])):
+            np.testing.assert_array_equal(got[i, j], want)
+
+
 def _params(seed=7, m=3, t=4, sigma2=0.6):
     rng = np.random.default_rng(seed)
     h_s = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
@@ -88,6 +98,43 @@ def test_joint_fim_matches_numeric_oracle_random_scenarios():
         geom, params = random_scenario(rng)
         _assert_fim_close(joint_fim(geom, params).data,
                           fim_numeric_oracle(geom, params).data, rtol=1e-6)
+
+
+def test_numeric_oracle_equals_one_step_at_a_time():
+    # the batched central differences against a loop over single steps, bit for bit
+    rng = np.random.default_rng(8)
+    step = 1e-6
+    for _ in range(20):
+        geom, params = random_scenario(rng, m_range=(2, 8), t_range=(2, 12))
+        lay = ParamLayout(params.m, params.t)
+        v0 = lay.pack(params.theta_d, params.h_s, params.d, params.phi_o)
+
+        def mean(v):
+            theta_d, h_s, d, phi_o = lay.unpack(v)
+            a = steering_vector(geom, theta_d)
+            return ((h_s[:, None] + np.outer(a, d)) * np.exp(1j * phi_o)[None, :]).ravel()
+
+        jac = np.empty((params.m * params.t, lay.dim), dtype=complex)
+        for i in range(lay.dim):
+            vp, vm = v0.copy(), v0.copy()
+            vp[i] += step
+            vm[i] -= step
+            jac[:, i] = (mean(vp) - mean(vm)) / (2 * step)
+        want = (2.0 / (2.0 * params.sigma2)) * np.real(jac.conj().T @ jac)
+        np.testing.assert_array_equal(fim_numeric_oracle(geom, params, step).data, want)
+
+
+def test_numeric_oracle_uses_no_closed_form(monkeypatch):
+    import asyncsense.fisher as fisher_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not read a closed form")
+
+    geom, params = _params(seed=3, m=4, t=5)
+    want = fim_numeric_oracle(geom, params).data
+    for name in ("joint_fim", "_reordered", "steering_geometry", "_steering_pair"):
+        monkeypatch.setattr(fisher_mod, name, forbidden)
+    np.testing.assert_array_equal(fim_numeric_oracle(geom, params).data, want)
 
 
 def test_numeric_oracle_zero_gains_and_symmetry():
