@@ -2,8 +2,8 @@
 for passive sensing with asynchronous (randomly phase-offset) CSI snapshots."""
 
 from .array_model import (ArrayGeometry, CsiBlock, GainDistribution, ScenarioParams,
-                          draw_dynamic_gains, project_constraints, steering_derivative,
-                          steering_matrix, steering_vector, synthesize_csi)
+                          draw_dynamic_gains, steering_derivative, steering_vector,
+                          synthesize_csi)
 from .bounds import (BoundReport, ChainCheckReport, ahrcrb_cgs, finite_t_hrcrb_cgs,
                      hrcrb_theta, rho_theta, verify_hrcrb_chain)
 from .campaign import (CampaignResult, TrialResult, VerificationReport, run_campaign,

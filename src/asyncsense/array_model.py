@@ -20,16 +20,12 @@ are exactly the Fisher information of the synthesized observations, and the
 performance bounds are true lower bounds for the simulated estimators.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .rng import as_rng
-
-# Zero-sum identifiability constraints are considered satisfied below this
-# relative residual (checked after projection).
-CONSTRAINT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,8 +70,9 @@ class ScenarioParams:
     phi_o   : real phase offsets in radians, length T
     sigma2  : noise variance per real component (complex entry variance 2*sigma2)
 
-    The zero-sum identifiability constraints on d and phi_o are only
-    guaranteed after :func:`project_constraints`; bound computations
+    The zero-sum identifiability constraints on d and phi_o are not enforced
+    here.  The campaign's trial draws, ``gains_from_normals(constrained=True)``
+    and the estimator's outputs remove the means; bound computations
     deliberately use unconstrained gain draws (see module docs in
     :mod:`asyncsense.bounds`).
     """
@@ -111,13 +108,6 @@ class ScenarioParams:
     @property
     def t(self) -> int:
         return self.d.size
-
-    def constraints_satisfied(self, eps: float = CONSTRAINT_EPS) -> bool:
-        """True when both zero-sum constraints hold to the given tolerance."""
-        rms = np.sqrt(np.mean(np.abs(self.d) ** 2))
-        d_ok = abs(self.d.sum()) <= eps * np.sqrt(self.t) * max(rms, np.finfo(float).tiny)
-        phi_ok = abs(self.phi_o.sum()) <= eps
-        return bool(d_ok and phi_ok)
 
 
 @dataclass(frozen=True)
@@ -160,25 +150,9 @@ def _steering_pair(geom: ArrayGeometry, theta) -> tuple:
     return a, geom.phase_ramp * np.cos(theta)[..., None] * a
 
 
-def steering_matrix(geom: ArrayGeometry, thetas: np.ndarray) -> np.ndarray:
-    """Steering vectors for a whole angle grid, stacked as columns (M x len)."""
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size and not (
-        -np.pi / 2 < thetas.min() and thetas.max() < np.pi / 2
-    ):
-        raise ValueError("all grid angles must lie in (-pi/2, pi/2)")
-    m = np.arange(geom.m)
-    return np.exp(1j * 2 * np.pi * geom.spacing * np.outer(m, np.sin(thetas)))
-
-
 def steering_derivative(geom: ArrayGeometry, theta: float) -> np.ndarray:
     """Derivative b(theta) = da/dtheta of the steering vector."""
     return _steering_pair(geom, theta)[1]
-
-
-def project_constraints(params: ScenarioParams) -> ScenarioParams:
-    """Remove the DC component of d and phi_o (zero-sum identifiability constraints)."""
-    return replace(params, d=params.d - params.d.mean(), phi_o=params.phi_o - params.phi_o.mean())
 
 
 def gains_from_normals(z: np.ndarray, dist: GainDistribution,

@@ -103,14 +103,12 @@ def hrcrb_theta(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma2: floa
         raise ValueError(f"unknown mode {mode!r}")
     if trials < 2:
         raise ValueError("monte-carlo mode needs at least 2 trials")
-    rng = as_rng(seed)
-    re, im = rng.standard_normal((trials, t)), rng.standard_normal((trials, t))
 
-    def per_draw(rows):
-        info = _efim_theta(g, np.sqrt(dist.p_d / 2.0) * (re[rows] + 1j * im[rows]), sigma2)
+    def per_draw(d):
+        info = _efim_theta(g, d, sigma2)
         return info, info > 0
 
-    kept, mean_info, stderr, discard_rate = _monte_carlo(per_draw, trials, t)
+    kept, mean_info, stderr, discard_rate = _monte_carlo(per_draw, dist, trials, t, seed)
     if mean_info <= 0:
         raise DegenerateBoundError("mean information is not positive")
     return BoundReport(value=1.0 / mean_info, method="monte-carlo", mc_trials=kept,
@@ -169,29 +167,29 @@ def finite_t_hrcrb_cgs(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma
         raise ValueError("need at least 2 trials")
     _check_sigma2(sigma2)
     g = steering_geometry(geom, theta, h_s).checked()
-    normals = as_rng(seed).standard_normal((2, trials, t))
-
-    def per_draw(rows):
-        return _cgs_trace_draws(g, sigma2, gains_from_normals(
-            np.moveaxis(normals[:, rows], 0, -2), dist))
-
-    kept, mean, stderr, discard_rate = _monte_carlo(per_draw, trials, t)
+    kept, mean, stderr, discard_rate = _monte_carlo(
+        lambda d: _cgs_trace_draws(g, sigma2, d), dist, trials, t, seed)
     return BoundReport(value=mean, method="monte-carlo", mc_trials=kept,
                        mc_stderr=stderr, discard_rate=discard_rate)
 
 
-def _monte_carlo(per_draw, trials: int, t: int):
-    """Mean over the valid trials of ``per_draw(rows) -> (values, valid)``, in row chunks.
+def _monte_carlo(per_draw, dist: GainDistribution, trials: int, t: int, seed):
+    """Mean over the valid trials of ``per_draw(d) -> (values, valid)``, d the circular
+    gain draws (rows, T) of one chunk.
 
-    Each chunk holds about ``_CHUNK_ELEMENTS`` gains.  Returns (kept, mean, stderr
-    of the mean, discard rate); more than MAX_DISCARD_RATE discarded trials raise.
+    The normals are drawn once as (2, trials, T), so the stream is that of drawing
+    the real parts of every trial and then the imaginary parts.  Each chunk holds
+    about ``_CHUNK_ELEMENTS`` gains.  Returns (kept, mean, stderr of the mean,
+    discard rate); more than MAX_DISCARD_RATE discarded trials raise.
     """
+    normals = as_rng(seed).standard_normal((2, trials, t))
     values = np.empty(trials)
     valid = np.empty(trials, dtype=bool)
     step = max(1, _CHUNK_ELEMENTS // t)
     for lo in range(0, trials, step):
         rows = slice(lo, min(lo + step, trials))
-        values[rows], valid[rows] = per_draw(rows)
+        values[rows], valid[rows] = per_draw(
+            gains_from_normals(np.moveaxis(normals[:, rows], 0, -2), dist))
     discard_rate = 1.0 - valid.sum() / trials
     if discard_rate > MAX_DISCARD_RATE:
         raise DegenerateBoundError(
@@ -200,8 +198,17 @@ def _monte_carlo(per_draw, trials: int, t: int):
         )
     kept = values[valid]
     mean = math.fsum(kept) / kept.size
-    stderr = float(np.std(kept, ddof=1)) / np.sqrt(kept.size)
+    stderr = float(np.std(kept, ddof=1)) / math.sqrt(kept.size)
     return int(kept.size), mean, stderr, float(discard_rate)
+
+
+def _separated_h_s(rng, geom: ArrayGeometry, theta, margin: float):
+    """Draw CN(0, I) static channels until Delta > margin * scale; returns (h_s, geometry)."""
+    while True:
+        h_s = (rng.standard_normal(geom.m) + 1j * rng.standard_normal(geom.m)) / np.sqrt(2)
+        g = steering_geometry(geom, theta, h_s)
+        if g.delta > margin * g.scale:
+            return h_s, g
 
 
 def verify_hrcrb_chain(geom: ArrayGeometry, t: int, dist: GainDistribution, sigma2: float,
@@ -228,12 +235,7 @@ def verify_hrcrb_chain(geom: ArrayGeometry, t: int, dist: GainDistribution, sigm
 
     for k in range(scenarios):
         draws = draws_per + (k < extra)
-        theta = rng.uniform(-1.2, 1.2)
-        while True:
-            h_s = (rng.standard_normal(geom.m) + 1j * rng.standard_normal(geom.m)) / np.sqrt(2)
-            g = steering_geometry(geom, theta, h_s)
-            if g.delta > 1e-3 * g.scale:
-                break
+        h_s, g = _separated_h_s(rng, geom, rng.uniform(-1.2, 1.2), 1e-3)
         d = gains_from_normals(rng.standard_normal((draws, 2, t)), dist)
         js = _reordered(g, h_s, d, sigma2).assemble()
 

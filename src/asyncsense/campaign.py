@@ -24,16 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import (ArrayGeometry, GainDistribution, ScenarioParams,
-                          gains_from_normals, steering_derivative, steering_vector,
-                          synthesize_batch)
-from .bounds import ahrcrb_cgs, finite_t_hrcrb_cgs, hrcrb_theta, rho_theta, verify_hrcrb_chain
+from .array_model import (ArrayGeometry, GainDistribution, ScenarioParams, _steering_pair,
+                          gains_from_normals, synthesize_batch)
+from .bounds import (_separated_h_s, ahrcrb_cgs, finite_t_hrcrb_cgs, hrcrb_theta, rho_theta,
+                     verify_hrcrb_chain)
 from .config import CampaignConfig
 from .csvio import ResultRow
 from .estimator import EstimatorConfig, estimate_batch
+from .exceptions import ConfigError
 from .fisher import (ParamLayout, constraint_basis, efim_theta_closed,
-                     fim_numeric_oracle, joint_fim, psi_block_inverse, reordered_blocks,
-                     steering_geometry)
+                     fim_numeric_oracle, joint_fim, psi_block_inverse, reordered_blocks)
 from .rng import as_rng
 
 MAX_FAILURE_RATE = 0.05
@@ -50,7 +50,6 @@ RHO_BLOCK = 1024
 @dataclass(frozen=True)
 class TrialResult:
     trial: int
-    seed: int                  # fingerprint of the per-trial seed stream
     theta_sq_err: float
     d_mse: float               # per-snapshot |d_hat - d|^2
     phi_mse: float
@@ -104,36 +103,52 @@ def resolve_h_s(cfg: CampaignConfig) -> np.ndarray:
 
 
 def _trial_draws(cfg: CampaignConfig, point: int, trials: range):
-    """Fingerprints, gains d (n, T), phases phi (n, T) and noise normals (n, 2, M, T).
+    """Gains d (n, T), phases phi (n, T) and noise normals (n, 2, M, T).
 
     Each trial draws from its own stream in a fixed order: Re d, Im d, the
     phase-walk steps, Re noise, Im noise.
     """
     t, m = cfg.t, cfg.m
     z = np.empty((len(trials), 3 * t + 2 * m * t))
-    fingerprints = []
     for k, trial in enumerate(trials):
-        ss = _trial_stream(cfg.seed, point, trial)
-        fingerprints.append(int(ss.generate_state(1)[0]))
-        np.random.default_rng(ss).standard_normal(out=z[k])
+        np.random.default_rng(_trial_stream(cfg.seed, point, trial)).standard_normal(out=z[k])
     d = gains_from_normals(z[:, :2 * t].reshape(-1, 2, t), GainDistribution(cfg.p_d),
                            constrained=True)
     phi = (cfg.phi_walk_std * z[:, 2 * t:3 * t]).cumsum(axis=1)
     phi -= phi.mean(axis=1, keepdims=True)
-    return fingerprints, d, phi, z[:, 3 * t:].reshape(-1, 2, m, t)
+    return d, phi, z[:, 3 * t:].reshape(-1, 2, m, t)
+
+
+def check_no_grating_alias(cfg: CampaignConfig):
+    """Raise ConfigError when theta_d has a grating-lobe alias in (-pi/2, pi/2).
+
+    a(theta') = a(theta_d) whenever sin(theta') = sin(theta_d) + k / spacing for an
+    integer k != 0, so MUSIC cannot tell theta' from theta_d.  The nearest alias
+    lies inside the interval exactly when spacing > 1 / (1 + |sin(theta_d)|).  The
+    bounds are local and still hold there; only the estimator is ambiguous.
+    """
+    s = math.sin(cfg.theta_d)
+    alias = s - math.copysign(1.0 / cfg.spacing, s)
+    if abs(alias) < 1.0:
+        raise ConfigError(
+            f"field 'spacing': {cfg.spacing:g} puts a grating-lobe alias of theta_d="
+            f"{cfg.theta_d:g} at {math.asin(alias):.3f} rad, which the MUSIC estimator "
+            f"cannot tell apart (it needs spacing <= 1 / (1 + |sin theta_d|) = "
+            f"{1.0 / (1.0 + abs(s)):.6g})"
+        )
 
 
 def scenario_from_config(cfg: CampaignConfig, point: int = 0, trial: int = 0) -> ScenarioParams:
     """A concrete scenario draw (used by the fim/estimate CLI paths)."""
     h_s = resolve_h_s(cfg)
     sigma2 = sigma2_from_snr_db(cfg.snr_db[point], cfg.p_d, cfg.m)
-    _, d, phi, _ = _trial_draws(cfg, point, range(trial, trial + 1))
+    d, phi, _ = _trial_draws(cfg, point, range(trial, trial + 1))
     return ScenarioParams(cfg.theta_d, h_s, d[0], phi[0], sigma2)
 
 
 def _run_chunk(cfg: CampaignConfig, geom: ArrayGeometry, h_s: np.ndarray, sigma2: float,
                ecfg: EstimatorConfig, point: int, trials: range) -> list:
-    fingerprints, d, phi, noise = _trial_draws(cfg, point, trials)
+    d, phi, noise = _trial_draws(cfg, point, trials)
     csi = synthesize_batch(geom, cfg.theta_d, h_s, d, phi, sigma2, noise)
     est = estimate_batch(csi, geom, ecfg)
     theta_sq = (est.theta_hat - cfg.theta_d) ** 2
@@ -143,11 +158,10 @@ def _run_chunk(cfg: CampaignConfig, geom: ArrayGeometry, h_s: np.ndarray, sigma2
     for k, trial in enumerate(trials):
         err = est.errors[k]
         if err is not None:
-            results.append(TrialResult(trial, fingerprints[k], math.nan, math.nan, math.nan,
-                                       stage=err.stage))
+            results.append(TrialResult(trial, math.nan, math.nan, math.nan, stage=err.stage))
         else:
-            results.append(TrialResult(trial, fingerprints[k], float(theta_sq[k]),
-                                       float(d_mse[k]), float(phi_mse[k])))
+            results.append(TrialResult(trial, float(theta_sq[k]), float(d_mse[k]),
+                                       float(phi_mse[k])))
     return results
 
 
@@ -162,6 +176,8 @@ def _mean_and_stderr(values) -> tuple:
 
 def run_campaign(cfg: CampaignConfig, keep_trials: bool = False) -> CampaignResult:
     """Execute the configured campaign; deterministic for fixed (config, seed)."""
+    if cfg.mode == "estimator":
+        check_no_grating_alias(cfg)
     geom = ArrayGeometry(cfg.m, cfg.spacing)
     h_s = resolve_h_s(cfg)
     dist = GainDistribution(cfg.p_d)
@@ -230,11 +246,7 @@ def random_scenario(rng, m_range=(2, 6), t_range=(2, 8)):
     t = int(rng.integers(t_range[0], t_range[1] + 1))
     geom = ArrayGeometry(m)
     theta = float(rng.uniform(-1.3, 1.3))
-    while True:
-        h_s = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
-        g = steering_geometry(geom, theta, h_s)
-        if g.delta > 0.05 * g.scale:
-            break
+    h_s, _ = _separated_h_s(rng, geom, theta, 0.05)
     d = (rng.standard_normal(t) + 1j * rng.standard_normal(t)) / np.sqrt(2)
     phi = rng.uniform(-np.pi / 3, np.pi / 3, t)
     sigma2 = float(rng.uniform(0.2, 2.0))
@@ -286,8 +298,7 @@ def check_rho_range(trials: int, seed) -> VerifyCheck:
         m = int(rng.integers(3, 17))
         geom = ArrayGeometry(m)
         theta = float(rng.uniform(-1.4, 1.4))
-        q, _ = np.linalg.qr(np.column_stack([steering_vector(geom, theta),
-                                             steering_derivative(geom, theta)]))
+        q, _ = np.linalg.qr(np.column_stack(_steering_pair(geom, theta)))
         h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         h -= q @ (q.conj().T @ h)
         worst = np.maximum(worst, abs(rho_theta(geom, theta, h).rho - 1.0))

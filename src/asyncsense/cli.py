@@ -99,6 +99,7 @@ def _cmd_estimate(args) -> int:
     if args.csi:
         csi = read_csi_csv(args.csi)
     else:
+        camp.check_no_grating_alias(cfg)
         params = camp.scenario_from_config(cfg)
         csi = synthesize_csi(geom, params, np.random.default_rng(
             np.random.SeedSequence(cfg.seed, spawn_key=(5, 0))))

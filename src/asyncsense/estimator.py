@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .array_model import ArrayGeometry, CsiBlock, steering_matrix
+from .array_model import ArrayGeometry, CsiBlock, steering_vector
 from .exceptions import DegenerateProjectionError, EstimationStageError
 
 # The model has exactly a static and a dynamic path, so the signal subspace
@@ -122,12 +122,13 @@ class BatchEstimate:
 
 @functools.lru_cache(maxsize=8)
 def _aoa_grid(m: int, spacing: float, grid_points: int):
-    """Cell-centre angle grid on (-pi/2, pi/2), its steering matrix (M x grid) and
-    that matrix's real parts stacked on its imaginary parts (2M x grid); read-only."""
+    """Cell-centre angle grid on (-pi/2, pi/2), its steering vectors (grid, M) and
+    their real parts stacked on their imaginary parts as columns (2M x grid); read-only."""
     step = np.pi / grid_points
     grid = -np.pi / 2 + (np.arange(grid_points) + 0.5) * step
-    manifold = steering_matrix(ArrayGeometry(m, spacing), grid)
-    stacked = np.concatenate([manifold.real, manifold.imag])
+    manifold = steering_vector(ArrayGeometry(m, spacing), grid)
+    # C order: MUSIC's stacked matmul runs about twice as slow on the F-ordered concatenation
+    stacked = np.ascontiguousarray(np.concatenate([manifold.real.T, manifold.imag.T]))
     for arr in (grid, manifold, stacked):
         arr.setflags(write=False)
     return grid, manifold, stacked
@@ -230,7 +231,7 @@ def _music(h: np.ndarray, geom: ArrayGeometry, cfg: EstimatorConfig):
 
     peaks, valid = _select_peaks(spectrum)
     # dynamic-vs-static disambiguation: the dynamic beam modulates |a^H h_t|
-    beams = manifold.T[peaks].conj()
+    beams = manifold[peaks].conj()
     variances = np.where(valid, (np.abs(beams @ h) / m).var(axis=2), -np.inf)
     best = peaks[np.arange(n), np.argmax(variances, axis=1)]
 
@@ -242,7 +243,7 @@ def _music(h: np.ndarray, geom: ArrayGeometry, cfg: EstimatorConfig):
 
 def _beamspace(theta_hat: np.ndarray, geom: ArrayGeometry):
     """Unit beams A (n, M) and nullspace bases B (n, M, M-1) by Householder reflection."""
-    a = np.ascontiguousarray(steering_matrix(geom, theta_hat).T)
+    a = steering_vector(geom, theta_hat)
     a_unit = a / np.linalg.norm(a, axis=1, keepdims=True)
     # a_0 = 1 at the phase reference, so A_0 = 1/sqrt(M) is real and positive and
     # v = A + e_0 gives the reflector I - v v^H / (1 + A_0) with A -> -e_0

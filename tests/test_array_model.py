@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncsense import (ArrayGeometry, CsiBlock, GainDistribution, ScenarioParams,
-                        draw_dynamic_gains, project_constraints, steering_derivative,
-                        steering_matrix, steering_vector, synthesize_csi)
+from asyncsense import (ArrayGeometry, CampaignConfig, CsiBlock, GainDistribution,
+                        ScenarioParams, draw_dynamic_gains, steering_derivative, steering_vector,
+                        synthesize_csi)
+from asyncsense.array_model import gains_from_normals, synthesize_batch
+from asyncsense.campaign import _trial_draws, resolve_h_s, sigma2_from_snr_db
+from asyncsense.estimator import _aoa_grid, _beamspace, _gains, _phase_offsets, estimate_batch
 
 
 def test_geometry_validation():
@@ -54,12 +57,24 @@ def test_steering_norm_is_m(m, theta):
     assert abs(np.vdot(a, a).real - m) < 1e-12 * m
 
 
-def test_steering_matrix_matches_vector():
-    geom = ArrayGeometry(5)
-    thetas = np.linspace(-1.4, 1.4, 7)
-    mat = steering_matrix(geom, thetas)
-    for i, th in enumerate(thetas):
-        np.testing.assert_allclose(mat[:, i], steering_vector(geom, th), atol=1e-15)
+def test_estimator_manifold_is_steering_vector():
+    # MUSIC's scan grid and the beamspace split read the one steering-vector
+    # implementation, bit for bit, batched or one angle at a time
+    for m, spacing, points in ((8, 0.5, 2048), (5, 0.3, 64), (3, 0.7, 100)):
+        geom = ArrayGeometry(m, spacing)
+        grid, manifold, stacked = _aoa_grid(m, spacing, points)
+        assert manifold.shape == (points, m) and stacked.shape == (2 * m, points)
+        np.testing.assert_array_equal(manifold, steering_vector(geom, grid))
+        np.testing.assert_array_equal(stacked[:m], manifold.real.T)
+        np.testing.assert_array_equal(stacked[m:], manifold.imag.T)
+        for i in (0, 1, points // 3, points - 1):
+            np.testing.assert_array_equal(manifold[i], steering_vector(geom, grid[i]))
+            np.testing.assert_array_equal(manifold[i], steering_vector(geom, float(grid[i])))
+        thetas = np.array([-1.4, -0.2, 0.0, 0.35, 1.4])
+        a_unit, _ = _beamspace(thetas, geom)
+        for k, theta in enumerate(thetas):
+            a = steering_vector(geom, float(theta))
+            np.testing.assert_array_equal(a_unit[k], a / np.linalg.norm(a))
 
 
 def test_derivative_broadside():
@@ -84,28 +99,64 @@ def test_derivative_matches_finite_difference():
     assert worst < 1e-6
 
 
+def _assert_zero_sum(d, phi=None):
+    """Each row sums to zero: |sum d| <= 1e-9 sqrt(T) rms(d) and |sum phi| <= 1e-9."""
+    rms = np.sqrt(np.mean(np.abs(d) ** 2, axis=-1))
+    bound = 1e-9 * np.sqrt(d.shape[-1]) * np.maximum(rms, np.finfo(float).tiny)
+    assert np.all(np.abs(d.sum(axis=-1)) <= bound)
+    if phi is not None:
+        assert np.all(np.abs(phi.sum(axis=-1)) <= 1e-9)
+
+
+def test_zero_sum_constraints_hold_where_enforced():
+    # the campaign's trial draws, the constrained gain draw and the estimator's
+    # phase and gain estimates each remove the mean of their rows
+    cfg = CampaignConfig(m=6, t=32, snr_db=[10.0], trials=8, seed=7, grid_points=512)
+    d, phi, noise = _trial_draws(cfg, 0, range(8))
+    _assert_zero_sum(d, phi)
+    for t, seed in ((2, 0), (5, 1), (128, 2)):
+        _assert_zero_sum(draw_dynamic_gains(t, GainDistribution(1.7), seed, constrained=True))
+
+    geom = ArrayGeometry(cfg.m, cfg.spacing)
+    sigma2 = sigma2_from_snr_db(cfg.snr_db[0], cfg.p_d, cfg.m)
+    csi = synthesize_batch(geom, cfg.theta_d, resolve_h_s(cfg), d, phi, sigma2, noise)
+    est = estimate_batch(csi, geom)
+    assert est.errors == (None,) * 8
+    _assert_zero_sum(est.d_hat, est.phi_hat)
+
+
 def test_project_constraints_constant_gains():
-    p = ScenarioParams(0.1, np.ones(3), np.full(4, 2.0 + 1.0j), np.zeros(4), 1.0)
-    q = project_constraints(p)
-    np.testing.assert_allclose(q.d, 0, atol=1e-15)
+    # constant gains d = 2 + 1j (scale sqrt(p_d / 2) = 1) project to zero
+    constant = gains_from_normals(np.array([[2.0] * 4, [1.0] * 4]), GainDistribution(2.0),
+                                  constrained=True)
+    np.testing.assert_allclose(constant, 0, atol=1e-15)
 
 
 def test_project_constraints_idempotent_and_preserving():
-    rng = np.random.default_rng(1)
-    p = ScenarioParams(0.2, rng.standard_normal(3) + 1j, rng.standard_normal(5) + 0.3j,
-                       rng.standard_normal(5), 0.5)
-    q = project_constraints(p)
-    r = project_constraints(q)
-    np.testing.assert_allclose(q.d, r.d, atol=1e-15)
-    np.testing.assert_allclose(q.phi_o, r.phi_o, atol=1e-15)
-    assert q.theta_d == p.theta_d and q.sigma2 == p.sigma2
-    np.testing.assert_array_equal(q.h_s, p.h_s)
-    assert q.constraints_satisfied()
+    # the constrained draw is the unconstrained draw of the same stream with only
+    # its mean removed, and removing the mean again changes nothing
+    z = np.random.default_rng(1).standard_normal((3, 2, 5))
+    dist = GainDistribution(0.7)
+    free = gains_from_normals(z, dist)
+    q = gains_from_normals(z, dist, constrained=True)
+    np.testing.assert_allclose(q, free - free.mean(axis=-1, keepdims=True), atol=1e-15)
+    np.testing.assert_allclose(q - q.mean(axis=-1, keepdims=True), q, atol=1e-15)
+    z4 = np.random.default_rng(4).standard_normal((2, 5))
+    np.testing.assert_array_equal(draw_dynamic_gains(5, dist, 4, constrained=True),
+                                  gains_from_normals(z4, dist, constrained=True))
+    _assert_zero_sum(q)
 
 
 def test_project_constraints_hand_value():
-    p = ScenarioParams(0.0, np.ones(2), np.zeros(3), np.array([1.0, 2.0, 3.0]), 1.0)
-    np.testing.assert_allclose(project_constraints(p).phi_o, [-1.0, 0.0, 1.0], atol=1e-15)
+    # the estimator's phase and gain steps remove the mean by hand:
+    # [1, 2, 3] -> [-1, 0, 1]
+    h = np.zeros((1, 2, 3), dtype=complex)
+    h[0, 0] = np.exp(1j * np.array([1.0, 2.0, 3.0]))
+    phi, degenerate = _phase_offsets(h, np.array([[[1.0], [0.0]]]))
+    np.testing.assert_allclose(phi, [[-1.0, 0.0, 1.0]], atol=1e-15)
+    assert not degenerate[0]
+    d_hat = _gains(np.array([[[1.0, 2.0, 3.0]]]), np.ones((1, 1)), np.zeros((1, 3)))
+    np.testing.assert_allclose(d_hat, [[-1.0, 0.0, 1.0]], atol=1e-15)
 
 
 def test_gain_power_law_of_large_numbers():

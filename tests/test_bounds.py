@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import mpmath
@@ -8,11 +9,12 @@ from asyncsense import (ArrayGeometry, BoundReport, ChainCheckReport, Collineari
                         GainDistribution, ScenarioParams, ahrcrb_cgs, efim_psi_t,
                         finite_t_hrcrb_cgs, hrcrb_theta, reordered_blocks, rho_theta,
                         steering_derivative, steering_vector, verify_hrcrb_chain)
+import asyncsense.bounds as bounds_mod
 from asyncsense.array_model import gains_from_normals
-from asyncsense.bounds import _cgs_trace_draws
+from asyncsense.bounds import _cgs_trace_draws, _separated_h_s
 from asyncsense.campaign import RHO_BLOCK, _rho_draws, check_rho_range, random_scenario
 from asyncsense.exceptions import DegenerateBoundError
-from asyncsense.fisher import _reordered, steering_geometry
+from asyncsense.fisher import _efim_theta, _reordered, steering_geometry
 
 
 def _orthogonal_h(geom, theta, rng, span_b=True):
@@ -172,6 +174,64 @@ def test_hrcrb_monte_carlo_validates_closed_form():
                          trials=20000, seed=rng)
         assert abs(mc.value - closed) < 3 * mc.mc_stderr
         assert mc.discard_rate <= 1e-3
+
+
+def test_monte_carlo_bounds_do_not_depend_on_chunk_size(reference_scenario, monkeypatch):
+    geom, theta, h_s, sigma2, p_d = reference_scenario
+    dist, t = GainDistribution(p_d), 24
+
+    def both():
+        return (hrcrb_theta(geom, theta, h_s, sigma2, t, dist, mode="monte-carlo",
+                            trials=1001, seed=11),
+                finite_t_hrcrb_cgs(geom, theta, h_s, sigma2, t, dist, trials=1001, seed=12))
+
+    reports = []
+    for elements in (1, 7 * t, bounds_mod._CHUNK_ELEMENTS):
+        monkeypatch.setattr(bounds_mod, "_CHUNK_ELEMENTS", elements)
+        reports.append(both())
+    assert reports[0] == reports[1] == reports[2]
+    for rep in reports[0]:
+        assert type(rep.value) is float and type(rep.mc_stderr) is float
+        assert rep.mc_trials == 1001 and rep.mc_stderr > 0
+
+
+def test_hrcrb_monte_carlo_draws_real_then_imaginary_parts(reference_scenario):
+    # the stream is that of drawing Re d and then Im d as two (trials, T) arrays
+    geom, theta, h_s, sigma2, p_d = reference_scenario
+    dist = GainDistribution(p_d)
+    for t, trials, seed in ((16, 3000, 0), (128, 700, 21), (3, 50000, 4)):
+        rng = np.random.default_rng(seed)
+        re, im = rng.standard_normal((trials, t)), rng.standard_normal((trials, t))
+        info = _efim_theta(steering_geometry(geom, theta, h_s), np.sqrt(p_d / 2.0)
+                           * (re + 1j * im), sigma2)
+        kept = info[info > 0]
+        mean = math.fsum(kept) / kept.size
+        stderr = float(np.std(kept, ddof=1)) / math.sqrt(kept.size)
+        mc = hrcrb_theta(geom, theta, h_s, sigma2, t, dist, mode="monte-carlo",
+                         trials=trials, seed=seed)
+        assert mc.value == 1.0 / mean
+        assert mc.mc_stderr == stderr / mean ** 2
+        assert mc.mc_trials == kept.size
+
+
+def test_separated_h_s_redraws_from_one_stream():
+    # the static-channel redraw shared by random_scenario and verify_hrcrb_chain:
+    # CN(0, I) draws, Re then Im, until Delta exceeds the margin
+    geom = ArrayGeometry(3)
+    redraws = 0
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        h_s, g = _separated_h_s(rng, geom, 0.4, 0.5)
+        while True:
+            want = (ref.standard_normal(3) + 1j * ref.standard_normal(3)) / np.sqrt(2)
+            g_want = steering_geometry(geom, 0.4, want)
+            if g_want.delta > 0.5 * g_want.scale:
+                break
+            redraws += 1
+        np.testing.assert_array_equal(h_s, want)
+        assert g.delta == g_want.delta and g.delta > 0.5 * g.scale
+        assert rng.standard_normal() == ref.standard_normal()
+    assert redraws > 0
 
 
 def test_hrcrb_validation():

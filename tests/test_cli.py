@@ -142,6 +142,21 @@ def test_estimate_csi_mismatch_exit_1(tmp_path, cfg_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_grating_lobe_alias_exit_1(tmp_path, capsys):
+    # the estimator refuses spacing 0.9 at theta_d 0.35; the bounds accept it
+    cfg = {"m": 6, "t": 32, "snr_db": [10.0], "trials": 5, "seed": 3, "grid_points": 512,
+           "spacing": 0.9}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("montecarlo", "estimate"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "-0.876 rad" in err
+    for command in ("bounds", "fim"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "y.csv")]) == 0
+    capsys.readouterr()
+
+
 def test_numerical_failure_exit_2(tmp_path, capsys):
     # fixed static channel collinear with a(theta_d): the bounds diverge
     m = 4

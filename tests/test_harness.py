@@ -274,6 +274,30 @@ def test_campaign_adding_trials_preserves_streams():
     assert short == long[:chunk - 2]
 
 
+def test_estimator_campaign_refuses_a_grating_lobe_alias():
+    # spacing 0.9 at theta_d 0.35: sin(theta') = sin(0.35) - 1/0.9 puts an exact
+    # alias of a(theta_d) at -0.876 rad, which MUSIC cannot tell apart
+    with pytest.raises(ConfigError, match=r"-0\.876 rad"):
+        run_campaign(_campaign_cfg(spacing=0.9))
+    # the rule is spacing > 1 / (1 + |sin theta_d|), on either side of broadside
+    for theta, spacing in ((0.35, 0.75), (-0.35, 0.75), (0.0, 1.01), (1.2, 0.53)):
+        assert spacing > 1.0 / (1.0 + abs(math.sin(theta)))
+        with pytest.raises(ConfigError, match="grating-lobe alias"):
+            campaign_mod.check_no_grating_alias(_campaign_cfg(spacing=spacing, theta_d=theta))
+    for theta, spacing in ((0.35, 0.74), (-0.35, 0.74), (0.0, 1.0), (1.2, 0.5)):
+        campaign_mod.check_no_grating_alias(_campaign_cfg(spacing=spacing, theta_d=theta))
+    res = run_campaign(_campaign_cfg(spacing=0.7, trials=4))
+    assert any(r.metric == "mse_theta" for r in res.rows)
+
+
+def test_bounds_only_campaign_accepts_a_grating_lobe_spacing():
+    # the bounds are local and still hold where the estimator is ambiguous
+    rows = run_campaign(_campaign_cfg(spacing=0.9, mode="bounds-only", finite_t=True,
+                                      finite_t_trials=200, mc_bound_trials=500)).rows
+    assert {r.metric for r in rows} == {"hrcrb_theta", "ahrcrb_d", "hrcrb_theta_mc",
+                                        "finite_t_hrcrb_d"}
+
+
 def test_campaign_bounds_only_rows():
     cfg = _campaign_cfg(mode="bounds-only", snr_db=[0.0, 10.0], mc_bound_trials=500)
     rows = run_campaign(cfg).rows
