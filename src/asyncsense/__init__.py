@@ -2,8 +2,7 @@
 for passive sensing with asynchronous (randomly phase-offset) CSI snapshots."""
 
 from .array_model import (ArrayGeometry, CsiBlock, GainDistribution, ScenarioParams,
-                          draw_dynamic_gains, steering_derivative, steering_vector,
-                          synthesize_csi)
+                          draw_dynamic_gains, steering_vector, synthesize_csi)
 from .bounds import (BoundReport, ChainCheckReport, ahrcrb_cgs, finite_t_hrcrb_cgs,
                      hrcrb_theta, rho_theta, verify_hrcrb_chain)
 from .campaign import (CampaignResult, TrialResult, VerificationReport, run_campaign,
@@ -16,9 +15,8 @@ from .estimator import (EstimateResult, EstimatorConfig, MusicDiagnostics, beams
 from .exceptions import (CollinearityError, ConfigError, DegenerateBoundError,
                          DegenerateProjectionError, EstimationStageError, SingularMatrixError)
 from .fisher import (ConstraintBasis, FimMatrix, ParamLayout, ReorderedFim,
-                     constrained_crb, constraint_basis, efim_psi_t, efim_theta_closed,
-                     efim_theta_schur, fim_numeric_oracle, joint_fim, psi_block_inverse,
-                     reordered_blocks)
+                     constrained_crb, constraint_basis, efim_theta_closed, efim_theta_schur,
+                     fim_numeric_oracle, joint_fim, psi_block_inverse, reordered_blocks)
 from .ofdm import (ReferenceSignal, SufficiencyReport, ls_estimate, make_reference_signal,
                    simulate_received, sufficiency_check)
 

@@ -145,14 +145,9 @@ def steering_vector(geom: ArrayGeometry, theta) -> np.ndarray:
 
 
 def _steering_pair(geom: ArrayGeometry, theta) -> tuple:
-    """(a(theta), b(theta)) with a evaluated once; theta of shape (...)."""
+    """(a(theta), b(theta) = da/dtheta) with a evaluated once; theta of shape (...)."""
     a = steering_vector(geom, theta)
     return a, geom.phase_ramp * np.cos(theta)[..., None] * a
-
-
-def steering_derivative(geom: ArrayGeometry, theta: float) -> np.ndarray:
-    """Derivative b(theta) = da/dtheta of the steering vector."""
-    return _steering_pair(geom, theta)[1]
 
 
 def gains_from_normals(z: np.ndarray, dist: GainDistribution,

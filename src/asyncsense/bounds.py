@@ -134,8 +134,9 @@ def _cgs_trace_draws(g: SteeringGeometry, sigma2: float, d: np.ndarray):
     """Per-trial (1/T) sum_t Tr([J_psi_t^equ^-1]_{1:2,1:2}) for draws d of shape (n, T).
 
     J_psi_t^equ = J_psi_t - v_t v_t^T / L_t, with v_t = J_theta,psi_t and L_t the
-    leave-one-out information of theta_d (``fisher.efim_psi_t``), is a rank-one
-    update of J_psi_t, whose inverse is closed-form (``fisher.psi_block_inverse``).
+    leave-one-out information of theta_d, is the EFIM of psi_t; its inverse is the
+    psi_t diagonal block of the inverse of ``ReorderedFim.assemble()``.  It is a
+    rank-one update of J_psi_t, whose inverse is closed-form (``fisher.psi_block_inverse``).
     By Sherman-Morrison, with chi_t = a^H h_s + M d_t and c = ``SteeringGeometry.c``:
 
         Tr([J_psi_t^equ^-1]_{1:2,1:2}) = sigma2 (|chi_t|^2 / Delta + 2) / M + |u_t|^2 / J,

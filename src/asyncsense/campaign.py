@@ -7,7 +7,8 @@ existing streams):
     SeedSequence(master, spawn_key=(1, 0))             campaign-level h_s draw
     SeedSequence(master, spawn_key=(2, point))         Monte Carlo AoA bound
     SeedSequence(master, spawn_key=(3, point))         finite-T CGS bound
-    SeedSequence(master, spawn_key=(4, 0))             verification suites (`verify`)
+    SeedSequence(master, spawn_key=(4, 0)), (4, 1)     verification suites (`verify`)
+    SeedSequence(master, spawn_key=(5, 0))             noise of a synthesized `estimate` block
 
 Estimator trials run in chunks of CHUNK_TRIALS stacked blocks.  Each trial
 draws from its own stream in its own order and the stacked arithmetic is per
@@ -45,6 +46,10 @@ CHUNK_TRIALS = 32
 
 # Random draws per batched evaluation in check_rho_range (at most 16 antennas).
 RHO_BLOCK = 1024
+
+# Largest accepted probability that an estimator trial's phase walk holds a step
+# beyond pi (check_estimator_inputs).
+PHASE_WRAP_LIMIT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -119,13 +124,19 @@ def _trial_draws(cfg: CampaignConfig, point: int, trials: range):
     return d, phi, z[:, 3 * t:].reshape(-1, 2, m, t)
 
 
-def check_no_grating_alias(cfg: CampaignConfig):
-    """Raise ConfigError when theta_d has a grating-lobe alias in (-pi/2, pi/2).
+def check_estimator_inputs(cfg: CampaignConfig):
+    """Raise ConfigError on an input the estimator would silently get wrong.
 
-    a(theta') = a(theta_d) whenever sin(theta') = sin(theta_d) + k / spacing for an
-    integer k != 0, so MUSIC cannot tell theta' from theta_d.  The nearest alias
-    lies inside the interval exactly when spacing > 1 / (1 + |sin(theta_d)|).  The
-    bounds are local and still hold there; only the estimator is ambiguous.
+    Grating lobes: a(theta') = a(theta_d) whenever sin(theta') = sin(theta_d) + k / spacing
+    for an integer k != 0, so MUSIC cannot tell theta' from theta_d.  The nearest
+    alias lies inside (-pi/2, pi/2) exactly when spacing > 1 / (1 + |sin(theta_d)|).
+
+    Phase wraps: the phase walk steps are N(0, phi_walk_std^2), and unwrapping slips
+    by 2 pi where a true step passes pi.  By the union bound over the T - 1 steps a
+    trial holds such a step with probability at most
+    (T - 1) erfc(pi / (phi_walk_std sqrt 2)), which must not exceed PHASE_WRAP_LIMIT.
+
+    The bounds are local and still hold for either input; only the estimator fails.
     """
     s = math.sin(cfg.theta_d)
     alias = s - math.copysign(1.0 / cfg.spacing, s)
@@ -135,6 +146,13 @@ def check_no_grating_alias(cfg: CampaignConfig):
             f"{cfg.theta_d:g} at {math.asin(alias):.3f} rad, which the MUSIC estimator "
             f"cannot tell apart (it needs spacing <= 1 / (1 + |sin theta_d|) = "
             f"{1.0 / (1.0 + abs(s)):.6g})"
+        )
+    wrap = (cfg.t - 1) * math.erfc(math.pi / (cfg.phi_walk_std * math.sqrt(2.0)))
+    if wrap > PHASE_WRAP_LIMIT:
+        raise ConfigError(
+            f"field 'phi_walk_std': {cfg.phi_walk_std:g} gives a phase step beyond pi, "
+            f"which the estimator unwraps wrongly, with probability up to {wrap:.3g} per "
+            f"trial of T={cfg.t} (limit {PHASE_WRAP_LIMIT:g})"
         )
 
 
@@ -177,7 +195,7 @@ def _mean_and_stderr(values) -> tuple:
 def run_campaign(cfg: CampaignConfig, keep_trials: bool = False) -> CampaignResult:
     """Execute the configured campaign; deterministic for fixed (config, seed)."""
     if cfg.mode == "estimator":
-        check_no_grating_alias(cfg)
+        check_estimator_inputs(cfg)
     geom = ArrayGeometry(cfg.m, cfg.spacing)
     h_s = resolve_h_s(cfg)
     dist = GainDistribution(cfg.p_d)

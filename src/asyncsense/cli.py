@@ -99,10 +99,9 @@ def _cmd_estimate(args) -> int:
     if args.csi:
         csi = read_csi_csv(args.csi)
     else:
-        camp.check_no_grating_alias(cfg)
+        camp.check_estimator_inputs(cfg)
         params = camp.scenario_from_config(cfg)
-        csi = synthesize_csi(geom, params, np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(5, 0))))
+        csi = synthesize_csi(geom, params, camp._campaign_stream(cfg.seed, 5))
     est = run_estimator(csi, geom, EstimatorConfig(grid_points=cfg.grid_points))
     rows = [ResultRow(None, "theta_hat", est.theta_hat, None, 1, cfg.seed)]
     rows += [ResultRow(None, f"phi_hat_{t}", v, None, 1, cfg.seed)

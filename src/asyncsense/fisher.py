@@ -15,8 +15,10 @@ parameters (theta_d, psi_0, ..., psi_{T-1}) with psi_t = (Re d_t, Im d_t, phi_t)
 :class:`ReorderedFim` holds it as arrays: the theta-theta entry (...), the
 snapshot blocks J_psi_t (..., T, 3, 3) and the cross rows J_theta,psi_t
 (..., T, 3), where the optional leading axes batch gain draws of one scenario.
-The equivalent Fisher information of theta_d and of psi_t follows by Schur
-complements over all T blocks at once, next to their closed forms.
+These blocks are the one home of the theta and psi_t entries: :func:`joint_fim`
+places them at ``ParamLayout.psi_indices()`` and writes only the h_s rows.  The
+equivalent Fisher information of theta_d follows by Schur complements over all
+T blocks at once, next to its closed form.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .array_model import ArrayGeometry, ScenarioParams, _steering_pair, steering_vector
-from .exceptions import CollinearityError, DegenerateBoundError, SingularMatrixError
+from .exceptions import CollinearityError, SingularMatrixError
 
 # Delta below this fraction of its natural scale |a|^2 |h_s|^2 is treated as
 # exact collinearity of h_s and a (the bounds genuinely diverge there).
@@ -71,14 +73,9 @@ class ParamLayout:
     def phi(self) -> slice:
         return slice(1 + 2 * self.m + 2 * self.t, self.dim)
 
-    def psi_indices(self, t: int) -> np.ndarray:
-        """Joint indices of the snapshot-t nuisance triple (Re d_t, Im d_t, phi_t)."""
-        base = 1 + 2 * self.m
-        return np.array([base + t, base + self.t + t, base + 2 * self.t + t])
-
-    def reordered_indices(self) -> np.ndarray:
-        """Indices of (theta, psi_0, ..., psi_{T-1}) in the joint ordering."""
-        return np.concatenate([[self.theta]] + [self.psi_indices(t) for t in range(self.t)])
+    def psi_indices(self) -> np.ndarray:
+        """(T, 3) joint indices of the snapshot triples psi_t = (Re d_t, Im d_t, phi_t)."""
+        return 1 + 2 * self.m + np.arange(self.t)[:, None] + self.t * np.arange(3)
 
     def pack(self, theta_d, h_s, d, phi_o) -> np.ndarray:
         v = np.empty(self.dim)
@@ -127,7 +124,8 @@ class ReorderedFim:
 
     def efim_theta(self) -> np.ndarray:
         """Equivalent Fisher information of theta_d by the per-snapshot Schur complement."""
-        return self.j_theta_theta - np.sum(_schur_terms(self), axis=-1)
+        sol = np.linalg.solve(self.j_psi, self.j_theta_psi[..., None])[..., 0]
+        return self.j_theta_theta - np.sum(np.sum(self.j_theta_psi * sol, axis=-1), axis=-1)
 
     def assemble(self) -> np.ndarray:
         """Dense (..., 1 + 3T, 1 + 3T) matrices over (theta, psi_0, ..., psi_{T-1})."""
@@ -261,47 +259,39 @@ def _check_sigma2(sigma2: float):
 
 
 def joint_fim(geom: ArrayGeometry, params: ScenarioParams) -> FimMatrix:
-    """Closed-form joint FIM, every submatrix scaled by 1/sigma2."""
+    """Closed-form joint FIM, every submatrix scaled by 1/sigma2.
+
+    The theta and psi_t entries are the blocks of :func:`_reordered`; only the
+    h_s rows are written here.
+    """
     _check_sigma2(params.sigma2)
     g = steering_geometry(geom, params.theta_d, params.h_s)
     m, t = params.m, params.t
     lay = ParamLayout(m, t)
-    a, b, ab, ah, bh = g.a, g.b, g.ab, g.ah, g.bh
-    d, h_s = params.d, params.h_s
-    ba = np.conj(ab)
+    a, b, d, h_s = g.a, g.b, params.d, params.h_s
+    ro = _reordered(g, h_s, d, 1.0)
 
     j = np.zeros((lay.dim, lay.dim))
-    col = h_s[:, None] + np.outer(a, d)          # per-snapshot noiseless mean / phase factor
-    chi = ah + m * d
+    psi = lay.psi_indices()
+    j[lay.theta, lay.theta] = ro.j_theta_theta
+    j[lay.theta, psi] = j[psi, lay.theta] = ro.j_theta_psi
+    j[psi[:, :, None], psi[:, None, :]] = ro.j_psi
 
     def put(rows, cols, block):
         j[rows, cols] = block
         j[cols, rows] = np.transpose(block)
 
     diag = j.reshape(-1)[:: lay.dim + 1]
-    diag[lay.theta] = np.vdot(b, b).real * np.vdot(d, d).real
     diag[lay.h_re] = diag[lay.h_im] = t
-    diag[lay.d_re] = diag[lay.d_im] = m
-    diag[lay.phi] = np.sum(np.abs(col) ** 2, axis=0)
-
     put(lay.theta, lay.h_re, np.real(d.conj().sum() * b.conj()))
     put(lay.theta, lay.h_im, -np.imag(d.conj().sum() * b.conj()))
-    put(lay.theta, lay.d_re, np.real(ba * d.conj()))
-    put(lay.theta, lay.d_im, -np.imag(ba * d.conj()))
-    put(lay.theta, lay.phi, -np.imag(bh * d.conj() + ba * d.conj() * d))
-
     put(lay.h_re, lay.d_re, np.real(a)[:, None])
     put(lay.h_re, lay.d_im, -np.imag(a)[:, None])
     put(lay.h_im, lay.d_re, np.imag(a)[:, None])
     put(lay.h_im, lay.d_im, np.real(a)[:, None])
+    col = h_s[:, None] + np.outer(a, d)          # per-snapshot noiseless mean / phase factor
     put(lay.h_re, lay.phi, -np.imag(col))
     put(lay.h_im, lay.phi, np.real(col))
-
-    # sign of the Im/phi coupling follows the per-snapshot block form (and the
-    # numeric oracle); the flat submatrix list carries a copy error here
-    re_d, im_d, phi = (np.arange(s.start, s.stop) for s in (lay.d_re, lay.d_im, lay.phi))
-    put(re_d, phi, -np.imag(chi))
-    put(im_d, phi, np.real(chi))
 
     j /= params.sigma2
     j += 0.0                                     # -0.0 -> +0.0, so written bytes never show a sign
@@ -462,12 +452,6 @@ def _reordered(g: SteeringGeometry, h_s: np.ndarray, d: np.ndarray, sigma2: floa
     return ReorderedFim(j_theta_theta=j_tt, j_psi=j_psi, j_theta_psi=j_theta_psi)
 
 
-def _schur_terms(ro: ReorderedFim) -> np.ndarray:
-    """Per-snapshot corrections J_theta,psi_t J_psi_t^-1 J_theta,psi_t^T, shape (..., T)."""
-    sol = np.linalg.solve(ro.j_psi, ro.j_theta_psi[..., None])[..., 0]
-    return np.sum(ro.j_theta_psi * sol, axis=-1)
-
-
 def psi_block_inverse(geom: ArrayGeometry, params: ScenarioParams, t) -> np.ndarray:
     """Closed-form inverse of the snapshot-t nuisance block J_psi; t may be an index array.
 
@@ -510,24 +494,3 @@ def efim_theta_closed(geom: ArrayGeometry, params: ScenarioParams) -> float:
     _check_sigma2(params.sigma2)
     g = steering_geometry(geom, params.theta_d, params.h_s).checked()
     return float(_efim_theta(g, params.d, params.sigma2))
-
-
-def efim_psi_t(geom: ArrayGeometry, params: ScenarioParams, t: int) -> np.ndarray:
-    """EFIM of the snapshot-t nuisance triple after eliminating theta_d.
-
-    Uses the leave-one-out equivalent information of theta_d: the correction
-    sum runs over every snapshot except t, while the theta-theta entry keeps
-    the full gain energy.
-    """
-    if params.t < 2:
-        raise ValueError("per-snapshot EFIM needs at least 2 snapshots")
-    if not 0 <= t < params.t:
-        raise ValueError(f"snapshot index {t} out of range for T={params.t}")
-    g = steering_geometry(geom, params.theta_d, params.h_s).checked()
-    ro = _reordered(g, params.h_s, params.d, params.sigma2)
-    loo = float(ro.j_theta_theta - np.sum(_schur_terms(ro)[np.arange(params.t) != t]))
-    if loo <= 0:
-        raise DegenerateBoundError(
-            f"leave-one-out information of theta_d is not positive ({loo:.3e})"
-        )
-    return ro.j_psi[t] - np.outer(ro.j_theta_psi[t], ro.j_theta_psi[t]) / loo

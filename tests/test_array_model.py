@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncsense import (ArrayGeometry, CampaignConfig, CsiBlock, GainDistribution,
-                        ScenarioParams, draw_dynamic_gains, steering_derivative, steering_vector,
-                        synthesize_csi)
-from asyncsense.array_model import gains_from_normals, synthesize_batch
+                        ScenarioParams, draw_dynamic_gains, steering_vector, synthesize_csi)
+from asyncsense.array_model import _steering_pair, gains_from_normals, synthesize_batch
 from asyncsense.campaign import _trial_draws, resolve_h_s, sigma2_from_snr_db
 from asyncsense.estimator import _aoa_grid, _beamspace, _gains, _phase_offsets, estimate_batch
 
@@ -47,7 +46,7 @@ def test_steering_domain_error():
         with pytest.raises(ValueError):
             steering_vector(geom, theta)
         with pytest.raises(ValueError):
-            steering_derivative(geom, theta)
+            _steering_pair(geom, theta)
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,12 +77,12 @@ def test_estimator_manifold_is_steering_vector():
 
 
 def test_derivative_broadside():
-    b = steering_derivative(ArrayGeometry(4), 0.0)
+    b = _steering_pair(ArrayGeometry(4), 0.0)[1]
     np.testing.assert_allclose(b, 1j * np.pi * np.arange(4), atol=1e-15)
 
 
 def test_derivative_first_entry_zero():
-    assert steering_derivative(ArrayGeometry(2), 0.0)[0] == 0
+    assert _steering_pair(ArrayGeometry(2), 0.0)[1][0] == 0
 
 
 def test_derivative_matches_finite_difference():
@@ -94,7 +93,7 @@ def test_derivative_matches_finite_difference():
     worst = 0.0
     for theta in rng.uniform(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, 100):
         fd = (steering_vector(geom, theta + h) - steering_vector(geom, theta - h)) / (2 * h)
-        b = steering_derivative(geom, theta)
+        b = _steering_pair(geom, theta)[1]
         worst = max(worst, np.max(np.abs(fd - b)) / max(np.max(np.abs(b)), 1.0))
     assert worst < 1e-6
 

@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 
 from asyncsense import (ArrayGeometry, BoundReport, ChainCheckReport, CollinearityError,
-                        GainDistribution, ScenarioParams, ahrcrb_cgs, efim_psi_t,
-                        finite_t_hrcrb_cgs, hrcrb_theta, reordered_blocks, rho_theta,
-                        steering_derivative, steering_vector, verify_hrcrb_chain)
+                        GainDistribution, ScenarioParams, ahrcrb_cgs, finite_t_hrcrb_cgs,
+                        hrcrb_theta, reordered_blocks, rho_theta, steering_vector,
+                        verify_hrcrb_chain)
 import asyncsense.bounds as bounds_mod
-from asyncsense.array_model import gains_from_normals
+from asyncsense.array_model import _steering_pair, gains_from_normals
 from asyncsense.bounds import _cgs_trace_draws, _separated_h_s
 from asyncsense.campaign import RHO_BLOCK, _rho_draws, check_rho_range, random_scenario
-from asyncsense.exceptions import DegenerateBoundError
 from asyncsense.fisher import _efim_theta, _reordered, steering_geometry
 
 
 def _orthogonal_h(geom, theta, rng, span_b=True):
     a = steering_vector(geom, theta)
-    cols = [a, steering_derivative(geom, theta)] if span_b else [a]
+    cols = [a, _steering_pair(geom, theta)[1]] if span_b else [a]
     q, _ = np.linalg.qr(np.column_stack(cols))
     h = rng.standard_normal(geom.m) + 1j * rng.standard_normal(geom.m)
     h -= q @ (q.conj().T @ h)
@@ -59,7 +58,7 @@ def test_rho_binet_cauchy_wedge_identity():
         h_s = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         dec = rho_theta(geom, theta, h_s)
         a = steering_vector(geom, theta)
-        b = steering_derivative(geom, theta)
+        b = _steering_pair(geom, theta)[1]
         lam_ab = (np.outer(a, b) - np.outer(b, a)).ravel()
         lam_ah = (np.outer(a, h_s) - np.outer(h_s, a)).ravel()
         assert dec.gamma == pytest.approx(0.5 * np.vdot(lam_ab, lam_ab).real, rel=1e-12)
@@ -314,15 +313,19 @@ def test_bounds_reject_non_finite_sigma2(reference_scenario, bound, bad):
             ahrcrb_cgs(geom, theta, h_s, sigma2, bad)
 
 
-def _per_block_trace(geom, params):
-    """mean_t Tr([efim_psi_t^-1]_{1:2,1:2}) and whether every block is positive definite."""
+def _dense_inverse_trace(geom, params):
+    """mean_t Tr([J^-1]_{psi_t psi_t, 1:2}) of the dense reordered FIM J, and whether J > 0.
+
+    [J^-1]_{psi_t psi_t} is the inverse of the EFIM of psi_t, with theta_d and every
+    other snapshot eliminated, so no leave-one-out algebra is needed.
+    """
+    full = reordered_blocks(geom, params).assemble()
     try:
-        blocks = np.stack([efim_psi_t(geom, params, t) for t in range(params.t)])
-    except DegenerateBoundError:
+        np.linalg.cholesky(full)
+    except np.linalg.LinAlgError:
         return None, False
-    if not np.all(np.linalg.eigvalsh(blocks) > 0):
-        return None, False
-    return float(np.mean(np.trace(np.linalg.inv(blocks)[:, :2, :2], axis1=1, axis2=2))), True
+    diag = np.diagonal(np.linalg.inv(full))[1:].reshape(params.t, 3)
+    return float(np.mean(diag[:, 0] + diag[:, 1])), True
 
 
 @pytest.mark.parametrize("t", [2, 3, 8, 32])
@@ -334,8 +337,8 @@ def test_cgs_trace_closed_form_matches_the_per_block_efim(t):
         d = np.stack([params.d, rng.uniform(0.05, 3.0) * params.d[::-1]])
         values, valid = _cgs_trace_draws(g, params.sigma2, d)
         for row, value, ok in zip(d, values, valid):
-            want, pd = _per_block_trace(geom, ScenarioParams(params.theta_d, params.h_s, row,
-                                                             params.phi_o, params.sigma2))
+            want, pd = _dense_inverse_trace(geom, ScenarioParams(
+                params.theta_d, params.h_s, row, params.phi_o, params.sigma2))
             assert ok == pd
             if pd:
                 assert value == pytest.approx(want, rel=1e-10)

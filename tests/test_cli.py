@@ -157,6 +157,21 @@ def test_grating_lobe_alias_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_wrapping_phase_walk_exit_1(tmp_path, capsys):
+    # the estimator refuses phi_walk_std 1.5; the bounds accept it
+    cfg = {"m": 6, "t": 32, "snr_db": [10.0], "trials": 5, "seed": 3, "grid_points": 512,
+           "phi_walk_std": 1.5}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("montecarlo", "estimate"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "'phi_walk_std': 1.5" in err
+    for command in ("bounds", "fim"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "y.csv")]) == 0
+    capsys.readouterr()
+
+
 def test_numerical_failure_exit_2(tmp_path, capsys):
     # fixed static channel collinear with a(theta_d): the bounds diverge
     m = 4

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 from asyncsense import (ArrayGeometry, CollinearityError, ScenarioParams,
                         SingularMatrixError, constrained_crb, constraint_basis,
-                        efim_psi_t, efim_theta_closed, efim_theta_schur,
-                        fim_numeric_oracle, joint_fim, psi_block_inverse,
-                        reordered_blocks, steering_derivative, steering_vector)
+                        efim_theta_closed, efim_theta_schur, fim_numeric_oracle, joint_fim,
+                        psi_block_inverse, reordered_blocks, steering_vector)
+from asyncsense.array_model import _steering_pair
 from asyncsense.campaign import random_scenario
-from asyncsense.exceptions import DegenerateBoundError
 from asyncsense.fisher import ParamLayout, steering_geometry
 
 
@@ -33,8 +32,9 @@ def test_layout_roundtrip():
     np.testing.assert_array_equal(d2, d)
     np.testing.assert_array_equal(phi2, phi)
     # psi indices pick (Re d_t, Im d_t, phi_t)
-    idx = lay.psi_indices(2)
-    assert v[idx[0]] == d[2].real and v[idx[1]] == d[2].imag and v[idx[2]] == phi[2]
+    psi = lay.psi_indices()
+    assert psi.shape == (4, 3)
+    np.testing.assert_array_equal(v[psi], np.column_stack([d.real, d.imag, phi]))
 
 
 def test_layout_unpacks_rows_like_single_vectors():
@@ -287,7 +287,7 @@ def test_constrained_crb_rejects_coupling_across_snapshots():
     fim = joint_fim(geom, params)
     lay = fim.layout
     data = fim.data.copy()
-    row, col = lay.psi_indices(1)[2], lay.psi_indices(3)[0]
+    row, col = lay.psi_indices()[1, 2], lay.psi_indices()[3, 0]
     data[row, col] = data[col, row] = 1e-3
     with pytest.raises(ValueError, match=rf"J\[{min(row, col)}, {max(row, col)}\]"):
         constrained_crb(FimMatrix(data, lay), constraint_basis(lay.m, lay.t))
@@ -344,7 +344,7 @@ def test_reordered_blocks_match_oracle_submatrix():
         ro = reordered_blocks(geom, params)
         scale = np.max(np.abs(oracle))
         for t in range(params.t):
-            idx = lay.psi_indices(t)
+            idx = lay.psi_indices()[t]
             np.testing.assert_allclose(ro.j_psi[t], oracle[np.ix_(idx, idx)],
                                        rtol=1e-6, atol=1e-6 * scale)
             np.testing.assert_allclose(ro.j_theta_psi[t], oracle[0, idx],
@@ -353,13 +353,14 @@ def test_reordered_blocks_match_oracle_submatrix():
 
 
 def test_assemble_matches_joint_reordering():
-    geom, params = _params()
-    lay = ParamLayout(params.m, params.t)
-    full = joint_fim(geom, params).data
-    idx = lay.reordered_indices()
-    sub = full[np.ix_(idx, idx)]
-    ro = reordered_blocks(geom, params).assemble()
-    np.testing.assert_allclose(ro, sub, atol=1e-12 * np.max(np.abs(sub)))
+    # the theta and psi entries of the joint FIM are the reordered blocks, bit for bit
+    rng = np.random.default_rng(16)
+    for geom, params in [_params()] + [random_scenario(rng, m_range=(2, 8), t_range=(2, 9))
+                                       for _ in range(50)]:
+        lay = ParamLayout(params.m, params.t)
+        ri = np.concatenate([[lay.theta], lay.psi_indices().ravel()])
+        assert np.array_equal(joint_fim(geom, params).data[np.ix_(ri, ri)],
+                              reordered_blocks(geom, params).assemble())
 
 
 def test_psi_block_inverse_is_exact_inverse():
@@ -417,7 +418,7 @@ def test_efim_theta_closed_orthogonal_static_channel():
     geom = ArrayGeometry(5)
     theta = 0.4
     a = steering_vector(geom, theta)
-    b = steering_derivative(geom, theta)
+    b = _steering_pair(geom, theta)[1]
     q, _ = np.linalg.qr(np.column_stack([a, b]))
     rng = np.random.default_rng(13)
     h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
@@ -434,60 +435,6 @@ def test_efim_theta_scales_inversely_with_sigma2():
     hot = ScenarioParams(params.theta_d, params.h_s, params.d, params.phi_o, 4.0)
     assert efim_theta_closed(geom, hot) == pytest.approx(efim_theta_closed(geom, params) / 4.0,
                                                          rel=1e-12)
-
-
-def test_efim_psi_t_matches_full_inverse_block():
-    rng = np.random.default_rng(14)
-    for _ in range(10):
-        geom, params = random_scenario(rng, m_range=(3, 5), t_range=(3, 6))
-        full = reordered_blocks(geom, params).assemble()
-        inv = np.linalg.inv(full)
-        for t in (0, params.t - 1):
-            s = slice(1 + 3 * t, 4 + 3 * t)
-            expected = np.linalg.inv(inv[s, s])
-            got = efim_psi_t(geom, params, t)
-            np.testing.assert_allclose(got, expected, rtol=1e-9,
-                                       atol=1e-9 * np.max(np.abs(expected)))
-
-
-def test_efim_psi_t_leave_one_out_excludes_own_snapshot():
-    # gains supported on snapshot t only: the correction collapses to J_tt
-    geom = ArrayGeometry(4)
-    rng = np.random.default_rng(15)
-    h_s = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    d = np.zeros(5, dtype=complex)
-    d[2] = 0.8 + 0.3j
-    params = ScenarioParams(0.3, h_s, d, np.zeros(5), 0.9)
-    b = steering_derivative(geom, 0.3)
-    j_tt = np.vdot(b, b).real * abs(d[2]) ** 2 / 0.9
-    ro = reordered_blocks(geom, params)
-    expected = ro.j_psi[2] - np.outer(ro.j_theta_psi[2], ro.j_theta_psi[2]) / j_tt
-    np.testing.assert_allclose(efim_psi_t(geom, params, 2), expected, rtol=1e-12)
-
-
-def test_efim_psi_t_asymptotics(reference_scenario):
-    # correction term decays ~1/T: gap < 1% at T=512 on the reference scenario
-    geom, theta, h_s, sigma2, p_d = reference_scenario
-    from asyncsense import GainDistribution, draw_dynamic_gains
-    d = draw_dynamic_gains(512, GainDistribution(p_d), np.random.default_rng(11))
-    params = ScenarioParams(theta, h_s, d, np.zeros(512), sigma2)
-    j_psi = reordered_blocks(geom, params).j_psi[3]
-    gap = np.max(np.abs(efim_psi_t(geom, params, 3) - j_psi)) / np.max(np.abs(j_psi))
-    assert gap < 0.01
-
-
-def test_efim_psi_t_needs_snapshots():
-    geom = ArrayGeometry(3)
-    params = ScenarioParams(0.1, np.ones(3), np.zeros(1), np.zeros(1), 1.0)
-    with pytest.raises(ValueError):
-        efim_psi_t(geom, params, 0)
-
-
-def test_efim_psi_t_degenerate_when_all_gains_zero():
-    geom = ArrayGeometry(3)
-    params = ScenarioParams(0.1, np.ones(3) + 1j, np.zeros(4), np.zeros(4), 1.0)
-    with pytest.raises(DegenerateBoundError):
-        efim_psi_t(geom, params, 0)
 
 
 _GEOMETRY_FIELDS = ("a", "b", "ab", "ah", "bh", "c", "gamma", "delta", "xi", "scale")

@@ -283,11 +283,33 @@ def test_estimator_campaign_refuses_a_grating_lobe_alias():
     for theta, spacing in ((0.35, 0.75), (-0.35, 0.75), (0.0, 1.01), (1.2, 0.53)):
         assert spacing > 1.0 / (1.0 + abs(math.sin(theta)))
         with pytest.raises(ConfigError, match="grating-lobe alias"):
-            campaign_mod.check_no_grating_alias(_campaign_cfg(spacing=spacing, theta_d=theta))
+            campaign_mod.check_estimator_inputs(_campaign_cfg(spacing=spacing, theta_d=theta))
     for theta, spacing in ((0.35, 0.74), (-0.35, 0.74), (0.0, 1.0), (1.2, 0.5)):
-        campaign_mod.check_no_grating_alias(_campaign_cfg(spacing=spacing, theta_d=theta))
+        campaign_mod.check_estimator_inputs(_campaign_cfg(spacing=spacing, theta_d=theta))
     res = run_campaign(_campaign_cfg(spacing=0.7, trials=4))
     assert any(r.metric == "mse_theta" for r in res.rows)
+
+
+def test_estimator_campaign_refuses_a_wrapping_phase_walk():
+    # a step N(0, 1.5^2) passes pi with probability 3.6%, so the union bound over
+    # the T - 1 = 127 steps, (T - 1) erfc(pi / (1.5 sqrt 2)) = 4.6, is far above 1e-6
+    with pytest.raises(ConfigError, match=r"'phi_walk_std': 1\.5 .* up to 4\.6 .*limit 1e-06"):
+        run_campaign(_campaign_cfg(t=128, phi_walk_std=1.5))
+    with pytest.raises(ConfigError, match=r"up to 2\.08e-05"):
+        campaign_mod.check_estimator_inputs(_campaign_cfg(t=128, phi_walk_std=0.6))
+    # the default 0.5 gives 4.2e-8 at T=128 and passes up to T=3015
+    campaign_mod.check_estimator_inputs(_campaign_cfg(t=3015, phi_walk_std=0.5))
+    with pytest.raises(ConfigError, match="phi_walk_std"):
+        campaign_mod.check_estimator_inputs(_campaign_cfg(t=3016, phi_walk_std=0.5))
+    res = run_campaign(_campaign_cfg(t=128, phi_walk_std=0.5, trials=4))
+    assert any(r.metric == "mse_d" for r in res.rows)
+
+
+def test_bounds_only_campaign_accepts_a_wrapping_phase_walk():
+    # the bounds do not depend on the phase walk at all
+    rows = run_campaign(_campaign_cfg(t=128, phi_walk_std=1.5, mode="bounds-only",
+                                      mc_bound_trials=500)).rows
+    assert {r.metric for r in rows} == {"hrcrb_theta", "ahrcrb_d", "hrcrb_theta_mc"}
 
 
 def test_bounds_only_campaign_accepts_a_grating_lobe_spacing():
