@@ -352,30 +352,34 @@ def constrained_crb(fim: FimMatrix, basis: ConstraintBasis) -> np.ndarray:
     solve of U^T J U; explicit D_t^-1 would lose digits in proportion to
     cond(D_t) too (near-collinear h_s).  Cost is O(T p^2) plus the n x n
     output, with J read symmetrised; the result is exactly symmetric.
+
+    Two layout facts are used: the p head coordinates come first, and the
+    joint indices of psi_t are ``fim.layout.psi_indices()[t]``.
     """
     lay = fim.layout
     if (basis.m, basis.t) != (lay.m, lay.t):
         raise ValueError("constraint basis does not match the FIM layout")
     t, p = lay.t, 1 + 2 * lay.m
     j = fim.data
-    snaps = np.arange(t)
-    # d_up[s, c, e] = J[psi_c(s), psi_e(s)]; joint index of psi_c(s) is p + c T + s
-    d_up = j[p:, p:].reshape(3, t, 3, t)[:, snaps, :, snaps]
+    psi = lay.psi_indices()
+    blocks = psi[:, :, None], psi[:, None, :]
+    d_up = j[blocks]
     # nonzeros of J_psipsi, counted over whole (contiguous) rows
     if np.count_nonzero(j[p:]) - np.count_nonzero(j[p:, :p]) != np.count_nonzero(d_up):
-        snap = np.arange(3 * t) % t
-        rows, cols = np.nonzero((j[p:, p:] != 0) & (snap[:, None] != snap[None, :]))
+        snap = np.empty(lay.dim, dtype=int)
+        snap[psi] = np.arange(t)[:, None]
+        rows, cols = np.nonzero((j[p:, p:] != 0) & (snap[p:, None] != snap[None, p:]))
         row, col = p + rows[0], p + cols[0]
         raise ValueError(f"J_psipsi is not block-diagonal over snapshots: "
                          f"J[{row}, {col}] = {j[row, col]!r}")
     d = 0.5 * (d_up + d_up.transpose(0, 2, 1))
     a = 0.5 * (j[:p, :p] + j[:p, :p].T)
-    b = 0.5 * (j[:p, p:] + j[p:, :p].T)                             # (p, 3T), joint columns
+    b = 0.5 * (j[:p, psi.T] + j[psi.T, :p].transpose(2, 0, 1))     # (p, 3, T), B_t = b[..., t]
     w, vecs = np.linalg.eigh(d)
     _require_positive(w, "snapshot blocks J_psi_t")
 
     l_inv = vecs.transpose(0, 2, 1) / np.sqrt(w)[:, :, None]        # L_t^-1 = W_t^-1/2 V_t^T
-    y = (l_inv @ b.reshape(p, 3, t).transpose(2, 1, 0)).reshape(3 * t, p)   # snapshot-major
+    y = (l_inv @ b.transpose(2, 1, 0)).reshape(3 * t, p)            # snapshot-major
     q = np.linalg.qr((l_inv / np.sqrt(t)).reshape(3 * t, 3))[0]
     y -= q @ (q.T @ y)
     s = a - y.T @ y
@@ -383,24 +387,26 @@ def constrained_crb(fim: FimMatrix, basis: ConstraintBasis) -> np.ndarray:
     _require_positive(np.linalg.eigvalsh(s), "Schur complement S")
     s_inv = np.linalg.inv(s)
 
-    # B K = Y^T L^-1 and L^-T Q, both in the joint psi order
-    bk = (y.reshape(t, 3, p).transpose(0, 2, 1) @ l_inv).transpose(1, 2, 0).reshape(p, 3 * t)
-    v = (l_inv.transpose(0, 2, 1) @ q.reshape(t, 3, 3)).transpose(1, 0, 2).reshape(3 * t, 3)
-    cross = -s_inv @ bk
+    # rows [L^-T Q, (B K)^T] with (B K)^T = L^-T Y, placed at the psi rows
+    l_inv_t = l_inv.transpose(0, 2, 1)
+    vbk = np.empty((lay.dim - p, 3 + p))
+    vbk[psi - p] = l_inv_t @ np.concatenate([q, y], axis=1).reshape(t, 3, 3 + p)
+    cross = -s_inv @ np.ascontiguousarray(vbk[:, 3:].T)
     crb = np.empty((lay.dim, lay.dim))
     crb[:p, :p] = s_inv
     crb[:p, p:] = cross
     crb[p:, :p] = cross.T
     # K + K B^T S^-1 B K = blkdiag(D_t^-1) - [L^-T Q, (BK)^T] [(L^-T Q)^T; -S^-1 B K]
-    np.matmul(np.hstack([v, bk.T]), -np.vstack([v.T, cross]), out=crb[p:, p:])
-    crb[p:, p:].reshape(3, t, 3, t)[:, snaps, :, snaps] += l_inv.transpose(0, 2, 1) @ l_inv
+    np.matmul(vbk, -np.vstack([vbk[:, :3].T, cross]), out=crb[p:, p:])
+    crb[blocks] += l_inv_t @ l_inv
     crb = 0.5 * (crb + crb.T)
 
     # cond(U^T J U) <= lambda_max(J) lambda_max(CRB), each bounded by its
     # largest absolute row sum (Gershgorin); J's row sums come from its blocks
     abs_b = np.abs(b)
-    j_rows = np.concatenate([np.abs(a).sum(axis=1) + abs_b.sum(axis=1),
-                             abs_b.sum(axis=0) + np.abs(d).sum(axis=2).T.ravel()])
+    j_rows = np.empty(lay.dim)
+    j_rows[:p] = np.abs(a).sum(axis=1) + abs_b.sum(axis=(1, 2))
+    j_rows[psi] = abs_b.sum(axis=0).T + np.abs(d).sum(axis=2)
     crb_norm = np.linalg.norm(crb, np.inf)
     cond = j_rows.max() * crb_norm
     if not cond <= CONDITION_LIMIT:

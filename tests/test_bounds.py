@@ -12,7 +12,7 @@ from asyncsense import (ArrayGeometry, BoundReport, ChainCheckReport, Collineari
 import asyncsense.bounds as bounds_mod
 from asyncsense.array_model import _steering_pair, gains_from_normals
 from asyncsense.bounds import _cgs_trace_draws, _separated_h_s
-from asyncsense.campaign import RHO_BLOCK, _rho_draws, check_rho_range, random_scenario
+from asyncsense.campaign import RHO_BLOCK, check_rho_range, random_scenario
 from asyncsense.fisher import _efim_theta, _reordered, steering_geometry
 
 
@@ -69,31 +69,14 @@ def test_rho_binet_cauchy_wedge_identity():
                                                      1e-14 * dec.gamma * dec.delta)
 
 
-def test_rho_draw_blocks_keep_the_per_draw_stream():
-    # blocks written in place reproduce the draws of the one-draw-at-a-time loop
-    ref = np.random.default_rng(2024)
-    want = []
-    for _ in range(2000):
-        m = int(ref.integers(2, 17))
-        theta = float(ref.uniform(-1.4, 1.4))
-        want.append((m, theta, ref.standard_normal(m) + 1j * ref.standard_normal(m)))
-    rng = np.random.default_rng(2024)
-    ms, thetas, z = np.empty(2000, dtype=int), np.empty(2000), np.empty((2000, 2, 16))
-    for rows in (slice(0, RHO_BLOCK), slice(RHO_BLOCK, 2000)):
-        _rho_draws(rng, ms[rows], thetas[rows], z[rows])
-    for i, (m, theta, h_s) in enumerate(want):
-        assert ms[i] == m and thetas[i] == theta
-        assert np.array_equal(z[i, 0, :m] + 1j * z[i, 1, :m], h_s)
-    assert rng.random() == ref.random()
-
-
 def test_rho_range_check_equals_the_per_draw_evaluation(monkeypatch):
     # grouping by M and blocking neither skips nor changes any draw's value
     import asyncsense.campaign as campaign_mod
     trials = RHO_BLOCK + 300
     rng = np.random.default_rng(31)
-    draws = np.empty(trials, dtype=int), np.empty(trials), np.empty((trials, 2, 16))
-    _rho_draws(rng, *draws)
+    blocks = [(rng.integers(2, 17, n), rng.uniform(-1.4, 1.4, n), rng.standard_normal((n, 2, 16)))
+              for n in (RHO_BLOCK, 300)]
+    draws = [np.concatenate(part) for part in zip(*blocks)]
     worst = 0.0
     for m, theta, z in zip(*draws):
         dec = rho_theta(ArrayGeometry(int(m)), float(theta), z[0, :m] + 1j * z[1, :m])

@@ -293,6 +293,31 @@ def test_constrained_crb_rejects_coupling_across_snapshots():
         constrained_crb(FimMatrix(data, lay), constraint_basis(lay.m, lay.t))
 
 
+class _SnapshotMajorLayout(ParamLayout):
+    """psi stored snapshot by snapshot: (Re d_0, Im d_0, phi_0, Re d_1, ...)."""
+
+    def psi_indices(self) -> np.ndarray:
+        return 1 + 2 * self.m + np.arange(3 * self.t).reshape(self.t, 3)
+
+
+def test_constrained_crb_reads_the_psi_order_from_the_layout():
+    # the same J in another psi order gives the same CRB in that order
+    from asyncsense.fisher import FimMatrix
+    rng = np.random.default_rng(15)
+    for t in (2, 3, 8, 64):
+        for _ in range(4):
+            geom, params = random_scenario(rng, m_range=(2, 6), t_range=(t, t))
+            fim = joint_fim(geom, params)
+            lay = _SnapshotMajorLayout(params.m, params.t)
+            order = np.empty(lay.dim, dtype=int)
+            order[lay.psi_indices()] = fim.layout.psi_indices()
+            order[:1 + 2 * lay.m] = np.arange(1 + 2 * lay.m)
+            want = constrained_crb(fim, constraint_basis(lay.m, t))[np.ix_(order, order)]
+            got = constrained_crb(FimMatrix(fim.data[np.ix_(order, order)], lay),
+                                  constraint_basis(lay.m, t))
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_constrained_crb_near_collinear_as_accurate_as_dense():
     # Delta/scale ~ 1e-6: the snapshot blocks have condition ~ 1e8, and a
     # Schur complement built from explicit D_t^-1 is off by ~1e-5 here

@@ -389,6 +389,31 @@ def test_trial_results_carry_diagnostics():
         assert tr.theta_sq_err >= 0 and tr.d_mse >= 0 and tr.phi_mse >= 0
 
 
+def test_phase_error_ignores_wrap_slips_and_common_rotations(monkeypatch):
+    # phi_hat = phi up to a 2 pi slip halfway (mean removed) or a common angle
+    real_draws, real_estimate = campaign_mod._trial_draws, campaign_mod.estimate_batch
+    drawn = []
+
+    def draws(*args):
+        out = real_draws(*args)
+        drawn.append(out[1])
+        return out
+
+    def estimate(h, geom, cfg):
+        phi = drawn[-1]
+        t = phi.shape[1]
+        slipped = phi + 2 * np.pi * (np.arange(t) >= t // 2)
+        slipped -= slipped.mean(axis=1, keepdims=True)
+        shifted = [slipped, phi + 0.7, phi - 2.9]
+        phi_hat = np.stack([shifted[k % 3][k] for k in range(len(phi))])
+        return dataclasses.replace(real_estimate(h, geom, cfg), phi_hat=phi_hat)
+
+    monkeypatch.setattr(campaign_mod, "_trial_draws", draws)
+    monkeypatch.setattr(campaign_mod, "estimate_batch", estimate)
+    res = run_campaign(_campaign_cfg(trials=8), keep_trials=True)
+    assert all(abs(tr.phi_mse) <= 1e-12 for tr in res.trial_results[0])
+
+
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
