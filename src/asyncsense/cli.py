@@ -77,9 +77,11 @@ def _cmd_fim(args) -> int:
     crb = constrained_crb(fim, basis)
     out = args.out or "fim.csv"
     write_matrix_csv(fim.data, out)
+    n = fim.data.shape[0]
+    del fim  # the FIM's n x n array goes before the CRB's write table is mapped
     crb_out = out[:-4] + ".crb.csv" if out.endswith(".csv") else out + ".crb.csv"
     write_matrix_csv(crb, crb_out)
-    print(f"wrote joint FIM ({fim.data.shape[0]}x{fim.data.shape[1]}) to {out}")
+    print(f"wrote joint FIM ({n}x{n}) to {out}")
     print(f"wrote constrained CRB to {crb_out}")
     return EXIT_OK
 

@@ -5,6 +5,7 @@ files reparse to bit-identical values; line endings are LF.
 """
 
 import csv
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,15 +73,84 @@ def parse_results_csv(path: str):
     return rows
 
 
+_CELL = np.dtype((np.void, 25))   # widest %.17g text, -2.2250738585072014e-308, and a separator
+_CELL_FMT = b"%-24.17g,"
+_ZERO_CELL = np.frombuffer(b"0".ljust(_CELL.itemsize), _CELL)[0]
+_BLOCK_ROWS = 8
+_TILE = np.dtype((np.void, _BLOCK_ROWS * _CELL.itemsize))
+
+
 def write_matrix_csv(matrix: np.ndarray, path: str):
-    """Row-major real matrix dump at 17 significant digits, one bytes ``%`` per row."""
+    """Row-major real matrix dump at 17 significant digits, LF line endings.
+
+    A square matrix equal to its transpose bit for bit, as the FIM and the CRB
+    are, takes the symmetric path: it formats each upper-triangle cell once
+    (+0.0 is written as ``0`` without formatting) into space-padded 25-byte
+    cells, ``_BLOCK_ROWS`` rows at a time, and masks the padding out of each
+    block of rows.  The mirror cells left of the diagonal come from a table
+    that keeps each formatted tile until the rows that read it are written, at
+    most about n^2/4 cells.  The table is an anonymous map: it does not grow
+    the malloc heap that the process's later large arrays reuse, and its spent
+    pages go back to the system as the write proceeds.  Any other matrix takes
+    one bytes ``%`` per row.  Both paths write the same bytes.
+    """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or np.iscomplexobj(matrix):
         raise ValueError(f"expected a 2-D real matrix, got {matrix.ndim}-D {matrix.dtype}")
-    line = (",".join(["%.17g"] * matrix.shape[1]) + "\n").encode()
+    matrix = matrix.astype(float, copy=False)
     with open(path, "wb") as fh:
-        for row in matrix.astype(float, copy=False):
+        bits = matrix.view(np.uint64)
+        if matrix.size and np.array_equal(bits, bits.T):
+            _write_symmetric(fh, matrix, bits)
+            return
+        line = (",".join(["%.17g"] * matrix.shape[1]) + "\n").encode()
+        for row in matrix:
             fh.write(line % tuple(row.tolist()))
+
+
+def _write_symmetric(fh, matrix, bits):
+    n, b = matrix.shape[0], _BLOCK_ROWS
+    cols = np.arange(n)
+    # Row i left of its diagonal mirrors column i above it.  Each block of rows
+    # formats its cells on and right of the diagonal; a tile (the block's rows in
+    # one later column j) that holds a nonzero cell is kept in the table until
+    # the block of row j reads it back.  The table runs column by column, so the
+    # pages of the columns a block has finished go back to the system.
+    full = n // b
+    kept = ((bits[:full * b] != 0).reshape(full, b, n).any(axis=1)
+            & (np.arange(full)[:, None] < cols // b))
+    starts = np.concatenate(([0], np.cumsum(kept.sum(axis=0))))
+    fill = starts[:-1].copy()
+    buf = mmap.mmap(-1, (int(starts[-1]) + 1) * _TILE.itemsize)   # a spare tile: never 0 bytes
+    table = np.frombuffer(buf, _TILE)
+    released = 0
+    for r0 in range(0, n, b):
+        r1 = min(r0 + b, n)
+        nonzero = bits[r0:r1] != 0
+        offset = cols - cols[r0:r1, None]          # j - i
+        out = np.empty((r1 - r0, n), _CELL)
+        if not nonzero.all():
+            out[...] = _ZERO_CELL
+        right = nonzero & (offset >= 0)
+        vals = matrix[r0:r1][right].tolist()
+        out[right] = np.frombuffer((_CELL_FMT * len(vals)) % tuple(vals), _CELL)
+        square, lower = out[:, r0:r1], offset[:, r0:r1] < 0
+        square[lower] = square.T[lower]
+        tiles = out[:, :r0].view(_TILE)
+        tiles[nonzero[:, :r0].reshape(r1 - r0, -1, b).any(axis=2)] = table[starts[r0]:starts[r1]]
+        if r1 < n:
+            keep = kept[r0 // b, r1:]
+            table[fill[r1:][keep]] = out[:, r1:].T[keep].view(_TILE)[:, 0]
+            fill[r1:] += keep
+        text = out.view(np.uint8).reshape(r1 - r0, n, _CELL.itemsize)
+        text[:, :, -1] = ord(",")
+        text[:, -1, -1] = ord("\n")
+        text = text.reshape(-1)
+        fh.write(text[text != ord(" ")])
+        dead = int(starts[r1]) * _TILE.itemsize // mmap.PAGESIZE * mmap.PAGESIZE
+        if dead > released and hasattr(mmap, "MADV_DONTNEED"):
+            buf.madvise(mmap.MADV_DONTNEED, released, dead - released)
+            released = dead
 
 
 def read_matrix_csv(path: str) -> np.ndarray:

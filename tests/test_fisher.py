@@ -318,6 +318,18 @@ def test_constrained_crb_reads_the_psi_order_from_the_layout():
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def test_fim_and_crb_are_bitwise_symmetric():
+    # the matrix CSV writer formats only the upper triangle of a bitwise mirror
+    rng = np.random.default_rng(19)
+    for t in (2, 3, 8, 64):
+        for _ in range(4):
+            geom, params = random_scenario(rng, m_range=(2, 6), t_range=(t, t))
+            fim = joint_fim(geom, params)
+            crb = constrained_crb(fim, constraint_basis(params.m, t))
+            for matrix in (fim.data, crb):
+                assert np.array_equal(matrix.view(np.uint64), matrix.T.view(np.uint64))
+
+
 def test_constrained_crb_near_collinear_as_accurate_as_dense():
     # Delta/scale ~ 1e-6: the snapshot blocks have condition ~ 1e8, and a
     # Schur complement built from explicit D_t^-1 is off by ~1e-5 here

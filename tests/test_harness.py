@@ -11,13 +11,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from asyncsense import (CampaignConfig, ConfigError, HsSpec, ResultRow, emit_config, emit_csv,
                         parse_config, parse_results_csv, read_csi_csv, run_campaign,
                         sigma2_from_snr_db, write_csi_csv, write_matrix_csv)
 from asyncsense.csvio import read_matrix_csv
 import asyncsense.campaign as campaign_mod
-from asyncsense import cli, fisher
+from asyncsense import cli, csvio, fisher
 from asyncsense.array_model import ArrayGeometry, CsiBlock, steering_vector
 from asyncsense.exceptions import EstimationStageError
 
@@ -150,11 +152,59 @@ EDGE_MATRICES = {
 }
 
 
+def _mirror_upper(a):
+    # the upper triangle and its bitwise mirror: every NaN keeps its payload
+    return np.where(np.tri(len(a), dtype=bool, k=-1), a.T, a)
+
+
+_SYMMETRIC = _mirror_upper(np.resize(
+    [0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308, 0.1, 1.0 / 3.0,
+     -0.0, 2.5], (6, 6)))
+np.fill_diagonal(_SYMMETRIC, [0.0, -0.0, 0.0, -0.0, np.nan, -1e300])
+_ZERO_SIGN_PAIR = _SYMMETRIC.copy()
+_ZERO_SIGN_PAIR[1, 4], _ZERO_SIGN_PAIR[4, 1] = 0.0, -0.0
+_ULP_PAIR = _SYMMETRIC.copy()
+_ULP_PAIR[2, 4], _ULP_PAIR[4, 2] = np.nextafter(0.1, 1.0), 0.1
+_RANDOM = np.random.default_rng(19).standard_normal((300, 300))
+SYMMETRIC_MATRICES = {
+    "symmetric": _SYMMETRIC,
+    "symmetric float32": _mirror_upper(np.arange(-12, 13, dtype=np.float32).reshape(5, 5) / 7),
+    "300x300 plus transpose": _RANDOM + _RANDOM.T,
+    "bool": EDGE_MATRICES["bool"],
+    "1x1": EDGE_MATRICES["1x1"],
+}
+EDGE_MATRICES.update(SYMMETRIC_MATRICES, **{"zero-sign pair": _ZERO_SIGN_PAIR,
+                                            "one-ulp pair": _ULP_PAIR, "0x0": np.zeros((0, 0))})
+
+
 @pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
 def test_matrix_csv_bytes_match_the_csv_writer(tmp_path, name):
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     write_matrix_csv(EDGE_MATRICES[name], str(new))
     _csv_writer_oracle(EDGE_MATRICES[name], str(old))
+    assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
+def test_matrix_csv_formats_only_bitwise_mirrors_from_the_upper_triangle(tmp_path, monkeypatch,
+                                                                         name):
+    calls = []
+    real = csvio._write_symmetric
+    monkeypatch.setattr(csvio, "_write_symmetric", lambda *args: calls.append(real(*args)))
+    write_matrix_csv(EDGE_MATRICES[name], str(tmp_path / "m.csv"))
+    assert len(calls) == (name in SYMMETRIC_MATRICES)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 40), st.lists(st.floats(width=64), min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_symmetric_matrix_csv_bytes_match_the_csv_writer(tmp_path_factory, n, values, seed):
+    # few distinct values, zeros among them, up to five blocks of rows
+    pool = np.array(values + [0.0])
+    matrix = _mirror_upper(pool[np.random.default_rng(seed).integers(len(pool), size=(n, n))])
+    new, old = tmp_path_factory.mktemp("sym") / "new.csv", tmp_path_factory.mktemp("sym") / "o.csv"
+    write_matrix_csv(matrix, str(new))
+    _csv_writer_oracle(matrix, str(old))
     assert new.read_bytes() == old.read_bytes()
 
 
@@ -288,6 +338,27 @@ def test_estimator_campaign_refuses_a_grating_lobe_alias():
         campaign_mod.check_estimator_inputs(_campaign_cfg(spacing=spacing, theta_d=theta))
     res = run_campaign(_campaign_cfg(spacing=0.7, trials=4))
     assert any(r.metric == "mse_theta" for r in res.rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(0.2, 2.0), st.floats(-1.5, 1.5, exclude_min=True, exclude_max=True))
+def test_grating_lobe_rule_matches_a_dense_beam_scan(spacing, theta_d):
+    # an alias is a second peak of |a(theta)^H a(theta_d)| / M at 1 - 1e-6 or above,
+    # more than 1/M away in sin(theta); the theta step keeps the scan within 1.1e-7
+    # of an alias's peak of 1, and 1e-3 from the rule's boundary an alias just
+    # outside (-pi/2, pi/2) peaks below 1 - 2e-5 at the edge of the scan
+    assume(abs(spacing - 1.0 / (1.0 + abs(math.sin(theta_d)))) > 1e-3)
+    m = 8
+    geom = ArrayGeometry(m, spacing)
+    theta = np.linspace(-np.pi / 2, np.pi / 2, 100_001)[1:-1]
+    beam = np.abs(steering_vector(geom, theta).conj() @ steering_vector(geom, theta_d)) / m
+    far = np.abs(np.sin(theta) - math.sin(theta_d)) > 1.0 / m
+    cfg = _campaign_cfg(m=m, spacing=spacing, theta_d=theta_d)
+    if beam[far].max() > 1.0 - 1e-6:
+        with pytest.raises(ConfigError, match="grating-lobe alias"):
+            campaign_mod.check_estimator_inputs(cfg)
+    else:
+        campaign_mod.check_estimator_inputs(cfg)
 
 
 def test_estimator_campaign_refuses_a_wrapping_phase_walk():
