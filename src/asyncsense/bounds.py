@@ -178,19 +178,22 @@ def _monte_carlo(per_draw, dist: GainDistribution, trials: int, t: int, seed):
     """Mean over the valid trials of ``per_draw(d) -> (values, valid)``, d the circular
     gain draws (rows, T) of one chunk.
 
-    The normals are drawn once as (2, trials, T), so the stream is that of drawing
-    the real parts of every trial and then the imaginary parts.  Each chunk holds
-    about ``_CHUNK_ELEMENTS`` gains.  Returns (kept, mean, stderr of the mean,
-    discard rate); more than MAX_DISCARD_RATE discarded trials raise.
+    The stream holds the real parts of every trial, then the imaginary parts: the
+    real parts are drawn whole as (trials, T) and the imaginary parts chunk by
+    chunk.  Each chunk holds about ``_CHUNK_ELEMENTS`` gains.  Returns (kept,
+    mean, stderr of the mean, discard rate); more than MAX_DISCARD_RATE
+    discarded trials raise.
     """
-    normals = as_rng(seed).standard_normal((2, trials, t))
+    rng = as_rng(seed)
+    real = rng.standard_normal((trials, t))
     values = np.empty(trials)
     valid = np.empty(trials, dtype=bool)
     step = max(1, _CHUNK_ELEMENTS // t)
     for lo in range(0, trials, step):
         rows = slice(lo, min(lo + step, trials))
+        imag = rng.standard_normal(real[rows].shape)
         values[rows], valid[rows] = per_draw(
-            gains_from_normals(np.moveaxis(normals[:, rows], 0, -2), dist))
+            gains_from_normals(np.stack([real[rows], imag], axis=-2), dist))
     discard_rate = 1.0 - valid.sum() / trials
     if discard_rate > MAX_DISCARD_RATE:
         raise DegenerateBoundError(

@@ -10,16 +10,19 @@ existing streams):
     SeedSequence(master, spawn_key=(4, 0)), (4, 1)     verification suites (`verify`)
     SeedSequence(master, spawn_key=(5, 0))             noise of a synthesized `estimate` block
 
-Estimator trials run in chunks of CHUNK_TRIALS stacked blocks.  Each trial
-draws from its own stream in its own order and the stacked arithmetic is per
-trial, and reductions over trials run through math.fsum, so the CSV is
-byte-stable for a given (config, seed) whatever the chunk size.
+Estimator trials run in chunks of CHUNK_TRIALS stacked blocks, on the calling
+thread and CHUNK_HELPERS helper threads.  Each trial draws from its own stream
+in its own order, the stacked arithmetic is per trial, and reductions over
+trials run in trial order through math.fsum, so the CSV is byte-stable for a
+given (config, seed) whatever the chunk size and the helper count.
 
 SNR convention: SNR_dB = 10 log10(p_d * M / sigma2), the dynamic-path array
 SNR (|a|^2 = M), with sigma2 the per-real-component noise variance.
 """
 
 import math
+import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
 
@@ -40,9 +43,15 @@ from .rng import as_rng
 MAX_FAILURE_RATE = 0.05
 
 # Estimator trials stacked per chunk: large enough to amortise per-call
-# overhead, small enough that the real (chunk, 2(M-2), grid) MUSIC projection
-# stays a few MB.  Results do not depend on it.
+# overhead, small enough that each of a chunk's stacked arrays stays about a MB
+# while every thread holds a chunk.  Results do not depend on it.
 CHUNK_TRIALS = 32
+
+# Threads that run estimator chunks beside the calling one: one per extra usable
+# CPU.  A chunk's time goes to numpy, BLAS/LAPACK and the normal draws, which
+# release the GIL.  Results do not depend on it.
+CHUNK_HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1) - 1
 
 # Random draws per batched evaluation in check_rho_range (at most 16 antennas).
 RHO_BLOCK = 1024
@@ -189,6 +198,49 @@ def _run_chunk(cfg: CampaignConfig, geom: ArrayGeometry, h_s: np.ndarray, sigma2
     return results
 
 
+def _run_chunks(chunks: list) -> list:
+    """``[_run_chunk(*args) for args in chunks]`` on this thread and CHUNK_HELPERS helpers.
+
+    Each thread claims the lowest unclaimed chunk until none is left.  Once a
+    chunk has raised no thread claims another, and the error of the lowest-index
+    chunk that raised is re-raised: every chunk below it was claimed before it,
+    so which error surfaces does not depend on timing.
+    """
+    results = [None] * len(chunks)
+    errors = {}
+    lock = threading.Lock()
+    claimed = 0
+
+    def claim_and_run():
+        nonlocal claimed
+        while True:
+            with lock:
+                if errors or claimed == len(chunks):
+                    return
+                k, claimed = claimed, claimed + 1
+            try:
+                results[k] = _run_chunk(*chunks[k])
+            except Exception as err:
+                with lock:
+                    errors[k] = err
+                return
+
+    helpers = [threading.Thread(target=claim_and_run)
+               for _ in range(min(CHUNK_HELPERS, len(chunks) - 1))]
+    for helper in helpers:
+        helper.start()
+    try:
+        claim_and_run()
+    finally:
+        with lock:
+            claimed = len(chunks)   # an interrupt here stops the helpers after their chunk
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _mean_and_stderr(values) -> tuple:
     n = len(values)
     mean = math.fsum(values) / n
@@ -206,11 +258,18 @@ def run_campaign(cfg: CampaignConfig, keep_trials: bool = False) -> CampaignResu
     h_s = resolve_h_s(cfg)
     dist = GainDistribution(cfg.p_d)
     ecfg = EstimatorConfig(grid_points=cfg.grid_points)
+    sigma2s = [sigma2_from_snr_db(snr, cfg.p_d, cfg.m) for snr in cfg.snr_db]
+    chunks = []
+    if cfg.mode == "estimator":
+        chunks = [(cfg, geom, h_s, sigma2, ecfg, point,
+                   range(start, min(start + CHUNK_TRIALS, cfg.trials)))
+                  for point, sigma2 in enumerate(sigma2s)
+                  for start in range(0, cfg.trials, CHUNK_TRIALS)]
+    trial_results = [r for chunk in _run_chunks(chunks) for r in chunk]
     rows = []
     trial_map = {}
 
-    for point, snr in enumerate(cfg.snr_db):
-        sigma2 = sigma2_from_snr_db(snr, cfg.p_d, cfg.m)
+    for point, (snr, sigma2) in enumerate(zip(cfg.snr_db, sigma2s)):
         hb = hrcrb_theta(geom, cfg.theta_d, h_s, sigma2, cfg.t, dist, mode="closed-form")
         ab = ahrcrb_cgs(geom, cfg.theta_d, h_s, sigma2, cfg.p_d)
         rows.append(ResultRow(snr, "hrcrb_theta", hb.value, None, 0, cfg.seed))
@@ -230,10 +289,7 @@ def run_campaign(cfg: CampaignConfig, keep_trials: bool = False) -> CampaignResu
                                   ft.mc_trials, cfg.seed))
 
         if cfg.mode == "estimator":
-            results = []
-            for start in range(0, cfg.trials, CHUNK_TRIALS):
-                trials = range(start, min(start + CHUNK_TRIALS, cfg.trials))
-                results += _run_chunk(cfg, geom, h_s, sigma2, ecfg, point, trials)
+            results = trial_results[point * cfg.trials:(point + 1) * cfg.trials]
             ok = [r for r in results if not r.failed]
             fail_rate = 1.0 - len(ok) / cfg.trials
             if fail_rate > MAX_FAILURE_RATE:

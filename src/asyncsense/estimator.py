@@ -55,6 +55,11 @@ _DEGENERATE_MESSAGE = ("nullspace projection carries no static-path energy "
 
 _TINY = np.finfo(float).tiny
 
+# Grid columns per tile of MUSIC's noise projection: the (n, 2(M-2), tile)
+# product stays well under a MB per 32-block chunk, where the whole grid's
+# would be several.  Each column's arithmetic does not depend on the tiling.
+_GRID_TILE = 256
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -226,8 +231,11 @@ def _music(h: np.ndarray, geom: ArrayGeometry, cfg: EstimatorConfig):
     e_h = _hermitian(eigvec[:, :, :noise_dim])
     w = np.concatenate([np.concatenate([e_h.real, -e_h.imag], axis=2),
                         np.concatenate([e_h.imag, e_h.real], axis=2)], axis=1)
-    z = w @ stacked
-    spectrum = 1.0 / np.maximum(np.einsum("nkg,nkg->ng", z, z), _TINY)
+    power = np.empty((n, cfg.grid_points))
+    for lo in range(0, cfg.grid_points, _GRID_TILE):
+        z = w @ stacked[:, lo:lo + _GRID_TILE]
+        np.einsum("nkg,nkg->ng", z, z, out=power[:, lo:lo + _GRID_TILE])
+    spectrum = 1.0 / np.maximum(power, _TINY)
 
     peaks, valid = _select_peaks(spectrum)
     # dynamic-vs-static disambiguation: the dynamic beam modulates |a^H h_t|

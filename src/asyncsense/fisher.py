@@ -37,6 +37,10 @@ COLLINEARITY_RTOL = 1e-12
 # singular instead of being silently regularized.
 CONDITION_LIMIT = 1e12
 
+# Rows and columns per tile where constrained_crb symmetrises and norms its
+# n x n result, so that neither step allocates another n x n array.
+_TILE = 256
+
 
 @dataclass(frozen=True)
 class ParamLayout:
@@ -399,7 +403,14 @@ def constrained_crb(fim: FimMatrix, basis: ConstraintBasis) -> np.ndarray:
     # K + K B^T S^-1 B K = blkdiag(D_t^-1) - [L^-T Q, (BK)^T] [(L^-T Q)^T; -S^-1 B K]
     np.matmul(vbk, -np.vstack([vbk[:, :3].T, cross]), out=crb[p:, p:])
     crb[blocks] += l_inv_t @ l_inv
-    crb = 0.5 * (crb + crb.T)
+    # crb = (crb + crb^T) / 2 in place, one upper tile and its mirror at a time
+    n = lay.dim
+    for lo in range(0, n, _TILE):
+        for col in range(lo, n, _TILE):
+            up, low = crb[lo:lo + _TILE, col:col + _TILE], crb[col:col + _TILE, lo:lo + _TILE]
+            sym = 0.5 * (up + low.T)
+            up[...] = sym
+            low[...] = sym.T
 
     # cond(U^T J U) <= lambda_max(J) lambda_max(CRB), each bounded by its
     # largest absolute row sum (Gershgorin); J's row sums come from its blocks
@@ -407,7 +418,10 @@ def constrained_crb(fim: FimMatrix, basis: ConstraintBasis) -> np.ndarray:
     j_rows = np.empty(lay.dim)
     j_rows[:p] = np.abs(a).sum(axis=1) + abs_b.sum(axis=(1, 2))
     j_rows[psi] = abs_b.sum(axis=0).T + np.abs(d).sum(axis=2)
-    crb_norm = np.linalg.norm(crb, np.inf)
+    crb_rows = np.empty(n)
+    for lo in range(0, n, _TILE):
+        crb_rows[lo:lo + _TILE] = np.abs(crb[lo:lo + _TILE]).sum(axis=1)
+    crb_norm = crb_rows.max()
     cond = j_rows.max() * crb_norm
     if not cond <= CONDITION_LIMIT:
         raise SingularMatrixError(

@@ -11,7 +11,10 @@ from asyncsense import (ArrayGeometry, CampaignConfig, CsiBlock, DegenerateProje
                         ahrcrb_cgs, beamspace_basis, draw_dynamic_gains, estimate_cgs,
                         estimate_phase_offsets, music_aoa, run_campaign, run_estimator,
                         steering_vector, synthesize_csi)
+import asyncsense.campaign as campaign_mod
 import asyncsense.estimator as estimator_mod
+from asyncsense.array_model import synthesize_batch
+from asyncsense.campaign import sigma2_from_snr_db
 from asyncsense.estimator import _local_maxima, _select_peaks, estimate_batch
 
 GRID = EstimatorConfig().grid_points
@@ -415,3 +418,30 @@ def test_music_finds_a_plateau_peak_at_broadside():
     theta_hat, diag = music_aoa(CsiBlock(h), ArrayGeometry(8))
     assert _grid_angle(GRID // 2 - 1) in diag.peak_angles
     assert abs(theta_hat) < 1e-12
+
+
+@pytest.mark.parametrize("grid_points", [2048, 1000])
+def test_music_spectrum_tiles_equal_the_whole_grid_product(monkeypatch, grid_points):
+    # one chunk of criterion 7's campaign (M=8, T=128, 0/10/20 dB); a single tile
+    # over the whole grid is the untiled product, and 1000 leaves a partial tile
+    cfg = CampaignConfig(m=8, t=128, snr_db=[0.0, 10.0, 20.0], trials=32, seed=20240817)
+    geom, h_s = ArrayGeometry(cfg.m), campaign_mod.resolve_h_s(cfg)
+    spectra = []
+    real_select = estimator_mod._select_peaks
+
+    def select(spectrum):
+        spectra.append(spectrum.copy())
+        return real_select(spectrum)
+
+    monkeypatch.setattr(estimator_mod, "_select_peaks", select)
+    for point, snr in enumerate(cfg.snr_db):
+        d, phi, noise = campaign_mod._trial_draws(cfg, point, range(cfg.trials))
+        csi = synthesize_batch(geom, cfg.theta_d, h_s, d, phi,
+                               sigma2_from_snr_db(snr, cfg.p_d, cfg.m), noise)
+        for tile in (256, grid_points):
+            monkeypatch.setattr(estimator_mod, "_GRID_TILE", tile)
+            estimate_batch(csi, geom, EstimatorConfig(grid_points))
+    assert len(spectra) == 6
+    for tiled, whole in zip(spectra[::2], spectra[1::2]):
+        assert tiled.shape == (cfg.trials, grid_points)
+        assert tiled.tobytes() == whole.tobytes()

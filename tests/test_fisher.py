@@ -8,6 +8,7 @@ from asyncsense import (ArrayGeometry, CollinearityError, ScenarioParams,
                         SingularMatrixError, constrained_crb, constraint_basis,
                         efim_theta_closed, efim_theta_schur, fim_numeric_oracle, joint_fim,
                         psi_block_inverse, reordered_blocks, steering_vector)
+import asyncsense.fisher as fisher_mod
 from asyncsense.array_model import _steering_pair
 from asyncsense.campaign import random_scenario
 from asyncsense.fisher import ParamLayout, steering_geometry
@@ -328,6 +329,22 @@ def test_fim_and_crb_are_bitwise_symmetric():
             crb = constrained_crb(fim, constraint_basis(params.m, t))
             for matrix in (fim.data, crb):
                 assert np.array_equal(matrix.view(np.uint64), matrix.T.view(np.uint64))
+
+
+@pytest.mark.parametrize("m, t", [(4, 82), (3, 83), (2, 84), (3, 168), (2, 169), (4, 168)])
+def test_constrained_crb_tiles_equal_the_whole_matrix_symmetrisation(monkeypatch, m, t):
+    # n = 1 + 2M + 3T = 255, 256, 257, 511, 512, 513; a single tile over the whole
+    # matrix is the untiled 0.5 * (crb + crb.T) and the untiled row sums
+    rng = np.random.default_rng(t)
+    h_s = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    d = rng.standard_normal(t) + 1j * rng.standard_normal(t)
+    params = ScenarioParams(0.35, h_s, d - d.mean(), rng.uniform(-1.0, 1.0, t), 0.5)
+    fim, basis = joint_fim(ArrayGeometry(m), params), constraint_basis(m, t)
+    tiled = constrained_crb(fim, basis)
+    monkeypatch.setattr(fisher_mod, "_TILE", fim.layout.dim)
+    whole = constrained_crb(fim, basis)
+    assert tiled.shape == (1 + 2 * m + 3 * t,) * 2
+    assert tiled.tobytes() == whole.tobytes() == np.ascontiguousarray(tiled.T).tobytes()
 
 
 def test_constrained_crb_near_collinear_as_accurate_as_dense():

@@ -7,6 +7,7 @@ import json
 import math
 import pathlib
 import sys
+import threading
 import time
 
 import numpy as np
@@ -315,6 +316,67 @@ def test_campaign_chunk_size_invariance(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_campaign_helper_count_invariance(tmp_path, monkeypatch):
+    # 50 trials at three points: a partial last chunk at every point.  Three
+    # helpers outnumber the cores, and a short switch interval makes the threads
+    # interleave often, so a chunk claimed twice or never would show.
+    cfg = _campaign_cfg(trials=50, snr_db=[0.0, 10.0, 20.0])
+    blobs, trials = [], []
+    switch = sys.getswitchinterval()
+    for helpers in (0, 1, 3):
+        monkeypatch.setattr(campaign_mod, "CHUNK_HELPERS", helpers)
+        sys.setswitchinterval(1e-5)
+        try:
+            res = run_campaign(cfg, keep_trials=True)
+        finally:
+            sys.setswitchinterval(switch)
+        path = tmp_path / f"helpers{helpers}.csv"
+        emit_csv(res.rows, str(path))
+        blobs.append(path.read_bytes())
+        trials.append(res.trial_results)
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert trials[0] == trials[1] == trials[2]
+
+
+def test_campaign_raises_a_helper_chunk_error(monkeypatch):
+    real = campaign_mod._run_chunk
+    helper_claimed = threading.Event()
+
+    def run_chunk(*args):
+        if threading.current_thread() is not threading.main_thread():
+            helper_claimed.set()
+            raise ValueError("raised in a helper")
+        assert helper_claimed.wait(timeout=10)     # leaves the helper a chunk to claim
+        return real(*args)
+
+    monkeypatch.setattr(campaign_mod, "CHUNK_HELPERS", 1)
+    monkeypatch.setattr(campaign_mod, "_run_chunk", run_chunk)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="raised in a helper"):
+        run_campaign(_campaign_cfg(trials=8, snr_db=[0.0, 10.0, 20.0]))
+    assert threading.active_count() == threads
+
+
+def test_campaign_raises_the_lowest_failing_chunk_whatever_the_timing(monkeypatch):
+    # chunks 1 and 3 of 6 raise; chunk 1 raises last, after chunk 3 has
+    real = campaign_mod._run_chunk
+
+    def run_chunk(cfg, geom, h_s, sigma2, ecfg, point, trials):
+        chunk = 2 * point + trials.start // 4
+        if chunk == 1:
+            time.sleep(0.2)
+        if chunk in (1, 3):
+            raise ValueError(f"chunk {chunk} failed")
+        return real(cfg, geom, h_s, sigma2, ecfg, point, trials)
+
+    monkeypatch.setattr(campaign_mod, "CHUNK_TRIALS", 4)
+    monkeypatch.setattr(campaign_mod, "_run_chunk", run_chunk)
+    for helpers in (0, 3):
+        monkeypatch.setattr(campaign_mod, "CHUNK_HELPERS", helpers)
+        with pytest.raises(ValueError, match="chunk 1 failed"):
+            run_campaign(_campaign_cfg(trials=8, snr_db=[0.0, 10.0, 20.0]))
+
+
 def test_campaign_adding_trials_preserves_streams():
     # counter-based per-trial seeding: trial k is the same in a longer run,
     # also when the longer run puts it in another chunk
@@ -415,36 +477,41 @@ def test_campaign_estimator_rows_and_fail_rate():
 
 
 def _failing_estimator(monkeypatch, stage_of):
-    """Fail the campaign's i-th estimated trial in stage_of(i), counting across SNR points."""
-    real = campaign_mod.estimate_batch
-    counter = itertools.count()
+    """Fail trial k of SNR point p in stage_of(p, k), whichever thread runs its chunk."""
+    real_chunk, real_estimate = campaign_mod._run_chunk, campaign_mod.estimate_batch
+    running = threading.local()
+
+    def run_chunk(cfg, geom, h_s, sigma2, ecfg, point, trials):
+        running.point, running.trials = point, trials
+        return real_chunk(cfg, geom, h_s, sigma2, ecfg, point, trials)
 
     def estimate(h, geom, cfg):
-        est = real(h, geom, cfg)
-        stages = [stage_of(next(counter)) for _ in est.errors]
+        est = real_estimate(h, geom, cfg)
+        stages = [stage_of(running.point, trial) for trial in running.trials]
         errors = tuple(EstimationStageError(stage, ValueError("boom")) if stage else err
                        for stage, err in zip(stages, est.errors))
         return dataclasses.replace(est, errors=errors)
 
+    monkeypatch.setattr(campaign_mod, "_run_chunk", run_chunk)
     monkeypatch.setattr(campaign_mod, "estimate_batch", estimate)
 
 
 def test_campaign_aborts_on_failures(monkeypatch):
-    _failing_estimator(monkeypatch, lambda i: "music")
+    _failing_estimator(monkeypatch, lambda point, trial: "music")
     with pytest.raises(RuntimeError, match="aborting"):
         run_campaign(_campaign_cfg(trials=4))
 
 
 def test_campaign_abort_names_point_and_stages(monkeypatch):
-    # point 0 (trials 0-7) is clean; point 1 fails 6 of 8 trials
-    _failing_estimator(monkeypatch,
-                       lambda i: None if i < 8 else ("music", None, "phase", "phase")[i % 4])
+    # point 0 is clean; point 1 fails 6 of 8 trials
+    _failing_estimator(monkeypatch, lambda point, trial: None if point == 0 else
+                       ("music", None, "phase", "phase")[trial % 4])
     with pytest.raises(RuntimeError, match=r"SNR point 1 \(10.0 dB\).*music: 2, phase: 4"):
         run_campaign(_campaign_cfg(trials=8, snr_db=[20.0, 10.0]))
 
 
 def test_campaign_tolerates_failures_below_the_gate(monkeypatch):
-    _failing_estimator(monkeypatch, lambda i: "phase" if i == 33 else None)
+    _failing_estimator(monkeypatch, lambda point, trial: "phase" if trial == 33 else None)
     res = run_campaign(_campaign_cfg(trials=40), keep_trials=True)
     failed = [r for r in res.trial_results[0] if r.failed]
     assert [(r.trial, r.stage) for r in failed] == [(33, "phase")]
