@@ -10,8 +10,8 @@ from .campaign import (CampaignResult, TrialResult, VerificationReport, run_camp
 from .config import CampaignConfig, HsSpec, emit_config, parse_config
 from .csvio import ResultRow, emit_csv, parse_results_csv, read_csi_csv, write_csi_csv, \
     write_matrix_csv
-from .estimator import (EstimateResult, EstimatorConfig, MusicDiagnostics, beamspace_basis,
-                        estimate_cgs, estimate_phase_offsets, music_aoa, run_estimator)
+from .estimator import (EstimateResult, MusicDiagnostics, beamspace_basis, estimate_cgs,
+                        estimate_phase_offsets, music_aoa, run_estimator)
 from .exceptions import (CollinearityError, ConfigError, DegenerateBoundError,
                          DegenerateProjectionError, EstimationStageError, SingularMatrixError)
 from .fisher import (ConstraintBasis, FimMatrix, ParamLayout, ReorderedFim,

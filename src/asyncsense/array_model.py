@@ -25,8 +25,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import as_rng
-
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -171,7 +169,7 @@ def draw_dynamic_gains(t: int, dist: GainDistribution, seed, constrained: bool =
     """
     if t < 2:
         raise ValueError(f"need at least 2 snapshots, got {t}")
-    return gains_from_normals(as_rng(seed).standard_normal((2, t)), dist, constrained)
+    return gains_from_normals(np.random.default_rng(seed).standard_normal((2, t)), dist, constrained)
 
 
 def synthesize_batch(geom: ArrayGeometry, theta_d: float, h_s: np.ndarray, d: np.ndarray,
@@ -195,6 +193,6 @@ def synthesize_csi(geom: ArrayGeometry, params: ScenarioParams, seed) -> CsiBloc
     """
     if params.m != geom.m:
         raise ValueError(f"h_s length {params.m} does not match geometry m={geom.m}")
-    noise = as_rng(seed).standard_normal((1, 2, geom.m, params.t))
+    noise = np.random.default_rng(seed).standard_normal((1, 2, geom.m, params.t))
     return CsiBlock(synthesize_batch(geom, params.theta_d, params.h_s, params.d[None],
                                      params.phi_o[None], params.sigma2, noise)[0])

@@ -24,7 +24,6 @@ from .array_model import ArrayGeometry, GainDistribution, gains_from_normals
 from .exceptions import DegenerateBoundError
 from .fisher import (SteeringGeometry, _check_sigma2, _efim_theta, _reordered,
                      steering_geometry)
-from .rng import as_rng
 
 # Monte Carlo runs tolerate at most this fraction of discarded trials (gain
 # draws with non-positive equivalent information of theta_d) before the whole
@@ -184,7 +183,7 @@ def _monte_carlo(per_draw, dist: GainDistribution, trials: int, t: int, seed):
     mean, stderr of the mean, discard rate); more than MAX_DISCARD_RATE
     discarded trials raise.
     """
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     real = rng.standard_normal((trials, t))
     values = np.empty(trials)
     valid = np.empty(trials, dtype=bool)
@@ -231,7 +230,7 @@ def verify_hrcrb_chain(geom: ArrayGeometry, t: int, dist: GainDistribution, sigm
     """
     if trials < scenarios:
         raise ValueError("need at least one draw per scenario")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     draws_per, extra = divmod(trials, scenarios)
 
     max_floor = max_jensen = -np.inf

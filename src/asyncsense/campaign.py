@@ -34,11 +34,10 @@ from .bounds import (_separated_h_s, ahrcrb_cgs, finite_t_hrcrb_cgs, hrcrb_theta
                      verify_hrcrb_chain)
 from .config import CampaignConfig
 from .csvio import ResultRow
-from .estimator import EstimatorConfig, estimate_batch
+from .estimator import estimate_batch
 from .exceptions import ConfigError
 from .fisher import (ParamLayout, constraint_basis, efim_theta_closed,
                      fim_numeric_oracle, joint_fim, psi_block_inverse, reordered_blocks)
-from .rng import as_rng
 
 MAX_FAILURE_RATE = 0.05
 
@@ -173,11 +172,12 @@ def scenario_from_config(cfg: CampaignConfig, point: int = 0, trial: int = 0) ->
     return ScenarioParams(cfg.theta_d, h_s, d[0], phi[0], sigma2)
 
 
-def _run_chunk(cfg: CampaignConfig, geom: ArrayGeometry, h_s: np.ndarray, sigma2: float,
-               ecfg: EstimatorConfig, point: int, trials: range) -> list:
+def _run_chunk(cfg: CampaignConfig, h_s: np.ndarray, point: int, trials: range) -> list:
+    geom = ArrayGeometry(cfg.m, cfg.spacing)
+    sigma2 = sigma2_from_snr_db(cfg.snr_db[point], cfg.p_d, cfg.m)
     d, phi, noise = _trial_draws(cfg, point, trials)
     csi = synthesize_batch(geom, cfg.theta_d, h_s, d, phi, sigma2, noise)
-    est = estimate_batch(csi, geom, ecfg)
+    est = estimate_batch(csi, geom, cfg.grid_points)
     theta_sq = (est.theta_hat - cfg.theta_d) ** 2
     d_mse = np.mean(np.abs(est.d_hat - d) ** 2, axis=1)
     # phase error blind to 2 pi slips and to a common rotation: wrapped to within
@@ -187,15 +187,9 @@ def _run_chunk(cfg: CampaignConfig, geom: ArrayGeometry, h_s: np.ndarray, sigma2
     circ = np.angle(np.exp(1j * e).mean(axis=1, keepdims=True))
     e -= 2 * np.pi * np.round((e - circ) / (2 * np.pi))
     phi_mse = np.mean(e ** 2, axis=1) - np.mean(e, axis=1) ** 2
-    results = []
-    for k, trial in enumerate(trials):
-        err = est.errors[k]
-        if err is not None:
-            results.append(TrialResult(trial, math.nan, math.nan, math.nan, stage=err.stage))
-        else:
-            results.append(TrialResult(trial, float(theta_sq[k]), float(d_mse[k]),
-                                       float(phi_mse[k])))
-    return results
+    return [TrialResult(trial, math.nan, math.nan, math.nan, stage=err.stage) if err is not None
+            else TrialResult(trial, float(theta_sq[k]), float(d_mse[k]), float(phi_mse[k]))
+            for k, (trial, err) in enumerate(zip(trials, est.errors))]
 
 
 def _run_chunks(chunks: list) -> list:
@@ -257,19 +251,17 @@ def run_campaign(cfg: CampaignConfig, keep_trials: bool = False) -> CampaignResu
     geom = ArrayGeometry(cfg.m, cfg.spacing)
     h_s = resolve_h_s(cfg)
     dist = GainDistribution(cfg.p_d)
-    ecfg = EstimatorConfig(grid_points=cfg.grid_points)
-    sigma2s = [sigma2_from_snr_db(snr, cfg.p_d, cfg.m) for snr in cfg.snr_db]
     chunks = []
     if cfg.mode == "estimator":
-        chunks = [(cfg, geom, h_s, sigma2, ecfg, point,
-                   range(start, min(start + CHUNK_TRIALS, cfg.trials)))
-                  for point, sigma2 in enumerate(sigma2s)
+        chunks = [(cfg, h_s, point, range(start, min(start + CHUNK_TRIALS, cfg.trials)))
+                  for point in range(len(cfg.snr_db))
                   for start in range(0, cfg.trials, CHUNK_TRIALS)]
     trial_results = [r for chunk in _run_chunks(chunks) for r in chunk]
     rows = []
     trial_map = {}
 
-    for point, (snr, sigma2) in enumerate(zip(cfg.snr_db, sigma2s)):
+    for point, snr in enumerate(cfg.snr_db):
+        sigma2 = sigma2_from_snr_db(snr, cfg.p_d, cfg.m)
         hb = hrcrb_theta(geom, cfg.theta_d, h_s, sigma2, cfg.t, dist, mode="closed-form")
         ab = ahrcrb_cgs(geom, cfg.theta_d, h_s, sigma2, cfg.p_d)
         rows.append(ResultRow(snr, "hrcrb_theta", hb.value, None, 0, cfg.seed))
@@ -345,7 +337,7 @@ def check_rho_range(trials: int, seed) -> VerifyCheck:
     the rounding level of the ratios and the allowance is 1e-12.  A draw that
     raises fails the check, and a NaN fails the verdict; none is skipped.
     """
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for lo in range(0, trials, RHO_BLOCK):
         n = min(RHO_BLOCK, trials - lo)
@@ -372,7 +364,7 @@ def check_rho_range(trials: int, seed) -> VerifyCheck:
 
 def check_fim_oracle(scenarios: int, seed) -> VerifyCheck:
     """Closed-form joint FIM vs finite-difference oracle, entrywise relative to the matrix scale."""
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(scenarios):
         geom, params = random_scenario(rng)
@@ -388,7 +380,7 @@ def check_schur_consistency(scenarios: int, seed) -> VerifyCheck:
 
     The Schur sum and the dense inverse read the same reordered FIM.
     """
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(scenarios):
         geom, params = random_scenario(rng, m_range=(3, 6))

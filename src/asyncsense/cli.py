@@ -14,7 +14,7 @@ from . import campaign as camp
 from .array_model import ArrayGeometry, synthesize_csi
 from .config import CampaignConfig, config_to_json, parse_config
 from .csvio import ResultRow, emit_csv, read_csi_csv, write_matrix_csv
-from .estimator import EstimatorConfig, run_estimator
+from .estimator import run_estimator
 from .exceptions import ConfigError, EstimationStageError
 from .fisher import constrained_crb, constraint_basis, joint_fim
 
@@ -104,7 +104,7 @@ def _cmd_estimate(args) -> int:
         camp.check_estimator_inputs(cfg)
         params = camp.scenario_from_config(cfg)
         csi = synthesize_csi(geom, params, camp._campaign_stream(cfg.seed, 5))
-    est = run_estimator(csi, geom, EstimatorConfig(grid_points=cfg.grid_points))
+    est = run_estimator(csi, geom, cfg.grid_points)
     rows = [ResultRow(None, "theta_hat", est.theta_hat, None, 1, cfg.seed)]
     rows += [ResultRow(None, f"phi_hat_{t}", v, None, 1, cfg.seed)
              for t, v in enumerate(est.phi_hat)]
@@ -150,6 +150,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "verify" and args.trials < 2:
+            parser.error(f"argument --trials: must be at least 2, got {args.trials}")
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {

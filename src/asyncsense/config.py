@@ -2,8 +2,11 @@
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field, asdict
 
+from .estimator import GRID_POINTS, MIN_GRID_POINTS
 from .exceptions import ConfigError
 
 MODES = ("bounds-only", "estimator")
@@ -23,18 +26,14 @@ class HsSpec:
         if self.mode not in H_S_MODES:
             raise ConfigError(f"field 'h_s.mode': must be one of {H_S_MODES}, got {self.mode!r}")
         if self.mode == "random":
-            if not (isinstance(self.power, (int, float)) and math.isfinite(self.power)
-                    and self.power > 0):
-                raise ConfigError(f"field 'h_s.power': must be a positive number, got {self.power!r}")
+            _check_positive(self.power, "h_s.power")
         else:
             if self.re is None or self.im is None:
                 raise ConfigError("field 'h_s': fixed mode needs 're' and 'im' lists")
-            object.__setattr__(self, "re", tuple(float(x) for x in self.re))
-            object.__setattr__(self, "im", tuple(float(x) for x in self.im))
+            object.__setattr__(self, "re", _numbers(self.re, "h_s.re"))
+            object.__setattr__(self, "im", _numbers(self.im, "h_s.im"))
             if len(self.re) != len(self.im):
                 raise ConfigError("field 'h_s': 're' and 'im' must have equal length")
-            if not all(math.isfinite(x) for x in self.re + self.im):
-                raise ConfigError("field 'h_s': entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -52,36 +51,27 @@ class CampaignConfig:
     finite_t: bool = False
     finite_t_trials: int = 2000
     mc_bound_trials: int = 20000
-    grid_points: int = 2048
+    grid_points: int = GRID_POINTS
     phi_walk_std: float = 0.5
 
     def __post_init__(self):
-        req = {"m": self.m, "t": self.t, "snr_db": self.snr_db, "trials": self.trials}
-        for name, value in req.items():
-            if value is None:
+        for name in ("m", "t", "snr_db", "trials"):
+            if getattr(self, name) is None:
                 raise ConfigError(f"field '{name}': required")
         _check_int(self.m, "m", minimum=2)
         _check_int(self.t, "t", minimum=2)
         _check_int(self.trials, "trials", minimum=1)
-        _check_int(self.grid_points, "grid_points", minimum=64)
+        _check_int(self.grid_points, "grid_points", minimum=MIN_GRID_POINTS)
         _check_int(self.finite_t_trials, "finite_t_trials", minimum=2)
         _check_int(self.mc_bound_trials, "mc_bound_trials", minimum=2)
         _check_int(self.seed, "seed", minimum=0)
-        try:
-            object.__setattr__(self, "snr_db", tuple(float(x) for x in self.snr_db))
-        except (TypeError, ValueError):
-            raise ConfigError("field 'snr_db': must be a list of numbers")
+        object.__setattr__(self, "snr_db", _numbers(self.snr_db, "snr_db"))
         if len(self.snr_db) == 0:
             raise ConfigError("field 'snr_db': must be a non-empty list")
         for name in ("spacing", "p_d", "phi_walk_std"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ConfigError(f"field '{name}': must be a positive number, got {v!r}")
-        if not (isinstance(self.theta_d, (int, float)) and math.isfinite(self.theta_d)
-                and abs(self.theta_d) < math.pi / 2):
+            _check_positive(getattr(self, name), name)
+        if not (_is_number(self.theta_d) and abs(self.theta_d) < math.pi / 2):
             raise ConfigError(f"field 'theta_d': must lie in (-pi/2, pi/2), got {self.theta_d!r}")
-        if not all(math.isfinite(x) for x in self.snr_db):
-            raise ConfigError("field 'snr_db': entries must be finite")
         if self.mode not in MODES:
             raise ConfigError(f"field 'mode': must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.finite_t, bool):
@@ -95,6 +85,24 @@ class CampaignConfig:
 def _check_int(value, name, minimum):
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigError(f"field '{name}': must be an integer >= {minimum}, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    """A real number within the float range; JSON's true, false and strings are not numbers."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _check_positive(value, name):
+    if not (_is_number(value) and value > 0):
+        raise ConfigError(f"field '{name}': must be a positive number, got {value!r}")
+
+
+def _numbers(values, name) -> tuple:
+    """A list field's entries as floats; each must be a finite number."""
+    if not (isinstance(values, (list, tuple)) and all(map(_is_number, values))):
+        raise ConfigError(f"field '{name}': must be a list of finite numbers, got {values!r}")
+    return tuple(float(v) for v in values)
 
 
 def config_to_dict(cfg: CampaignConfig) -> dict:
@@ -136,8 +144,6 @@ def _from_dict(raw: dict) -> CampaignConfig:
         if h_unknown:
             raise ConfigError(f"unknown field(s) in 'h_s': {', '.join(sorted(h_unknown))}")
         kwargs["h_s"] = HsSpec(**h)
-    if "snr_db" in kwargs and not isinstance(kwargs["snr_db"], (list, tuple)):
-        raise ConfigError("field 'snr_db': must be a list")
     return CampaignConfig(**kwargs)
 
 

@@ -55,21 +55,15 @@ _DEGENERATE_MESSAGE = ("nullspace projection carries no static-path energy "
 
 _TINY = np.finfo(float).tiny
 
+# The MUSIC angle grid's size: the reference campaign's default, and the
+# fewest points accepted.
+GRID_POINTS = 2048
+MIN_GRID_POINTS = 64
+
 # Grid columns per tile of MUSIC's noise projection: the (n, 2(M-2), tile)
 # product stays well under a MB per 32-block chunk, where the whole grid's
 # would be several.  Each column's arithmetic does not depend on the tiling.
 _GRID_TILE = 256
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Size of the MUSIC angle grid; the default follows the reference campaign."""
-
-    grid_points: int = 2048
-
-    def __post_init__(self):
-        if self.grid_points < 64:
-            raise ValueError(f"grid_points must be >= 64, got {self.grid_points}")
 
 
 @dataclass(frozen=True)
@@ -206,9 +200,11 @@ def _refine_peaks(grid: np.ndarray, spectrum: np.ndarray, best: np.ndarray):
     return theta, refined
 
 
-def _music(h: np.ndarray, geom: ArrayGeometry, cfg: EstimatorConfig):
+def _music(h: np.ndarray, geom: ArrayGeometry, grid_points: int):
     """MUSIC on a stack of blocks; returns (theta_hat (n,), MusicDiagnostics)."""
     n, m, t = h.shape
+    if grid_points < MIN_GRID_POINTS:
+        raise ValueError(f"grid_points must be >= {MIN_GRID_POINTS}, got {grid_points}")
     if m != geom.m:
         raise ValueError(f"CSI has {m} rows but geometry says m={geom.m}")
     if m <= _SOURCES:
@@ -223,7 +219,7 @@ def _music(h: np.ndarray, geom: ArrayGeometry, cfg: EstimatorConfig):
     with np.errstate(over="ignore"):
         gap_ratio = eigval[:, noise_dim:].mean(axis=1) / noise_floor
 
-    grid, manifold, stacked = _aoa_grid(geom.m, geom.spacing, cfg.grid_points)
+    grid, manifold, stacked = _aoa_grid(geom.m, geom.spacing, grid_points)
     # |E_n^H a|^2 in real arithmetic: with E_n^H = P + jQ and a = C + jS,
     # [P -Q; Q P] [C; S] stacks Re and Im of E_n^H a.  The noise-subspace form
     # squares a small number at the peak, so the noiseless pole stays a pole;
@@ -231,8 +227,8 @@ def _music(h: np.ndarray, geom: ArrayGeometry, cfg: EstimatorConfig):
     e_h = _hermitian(eigvec[:, :, :noise_dim])
     w = np.concatenate([np.concatenate([e_h.real, -e_h.imag], axis=2),
                         np.concatenate([e_h.imag, e_h.real], axis=2)], axis=1)
-    power = np.empty((n, cfg.grid_points))
-    for lo in range(0, cfg.grid_points, _GRID_TILE):
+    power = np.empty((n, grid_points))
+    for lo in range(0, grid_points, _GRID_TILE):
         z = w @ stacked[:, lo:lo + _GRID_TILE]
         np.einsum("nkg,nkg->ng", z, z, out=power[:, lo:lo + _GRID_TILE])
     spectrum = 1.0 / np.maximum(power, _TINY)
@@ -288,8 +284,8 @@ def _stage(name: str, fn, *args):
         raise EstimationStageError(name, err) from err
 
 
-def _estimate_stack(h: np.ndarray, geom: ArrayGeometry, cfg: EstimatorConfig) -> BatchEstimate:
-    theta_hat, diags = _stage("music", _music, h, geom, cfg)
+def _estimate_stack(h: np.ndarray, geom: ArrayGeometry, grid_points: int) -> BatchEstimate:
+    theta_hat, diags = _stage("music", _music, h, geom, grid_points)
     a_unit, b = _stage("beamspace", _beamspace, theta_hat, geom)
     phi_hat, degenerate = _stage("phase", _phase_offsets, h, b)
     d_hat = _stage("cgs", _gains, h, a_unit, phi_hat)
@@ -302,7 +298,7 @@ def _estimate_stack(h: np.ndarray, geom: ArrayGeometry, cfg: EstimatorConfig) ->
 
 
 def estimate_batch(h: np.ndarray, geom: ArrayGeometry,
-                   cfg: EstimatorConfig = EstimatorConfig()) -> BatchEstimate:
+                   grid_points: int = GRID_POINTS) -> BatchEstimate:
     """Run the pipeline on a stack of CSI blocks, shape (n, M, T).
 
     A failure in one block is reported on its own row and leaves the other
@@ -315,10 +311,10 @@ def estimate_batch(h: np.ndarray, geom: ArrayGeometry,
     if h.ndim != 3:
         raise ValueError("CSI stack must be 3-D (blocks x antennas x snapshots)")
     try:
-        return _estimate_stack(h, geom, cfg)
+        return _estimate_stack(h, geom, grid_points)
     except EstimationStageError as err:
         if len(h) > 1:
-            parts = [estimate_batch(h[k:k + 1], geom, cfg) for k in range(len(h))]
+            parts = [estimate_batch(h[k:k + 1], geom, grid_points) for k in range(len(h))]
             diags = MusicDiagnostics(*(np.concatenate([getattr(p.diagnostics, f.name)
                                                            for p in parts])
                                        for f in fields(MusicDiagnostics)))
@@ -335,9 +331,9 @@ def _stack_of_one(csi: CsiBlock) -> np.ndarray:
     return np.ascontiguousarray(csi.data[None])
 
 
-def music_aoa(csi: CsiBlock, geom: ArrayGeometry, cfg: EstimatorConfig = EstimatorConfig()):
+def music_aoa(csi: CsiBlock, geom: ArrayGeometry, grid_points: int = GRID_POINTS):
     """MUSIC AoA estimate with peak disambiguation; returns (theta_hat, diagnostics)."""
-    theta_hat, diag = _music(_stack_of_one(csi), geom, cfg)
+    theta_hat, diag = _music(_stack_of_one(csi), geom, grid_points)
     return float(theta_hat[0]), diag[0]
 
 
@@ -360,8 +356,7 @@ def estimate_phase_offsets(csi: CsiBlock, b: np.ndarray) -> np.ndarray:
     return phi[0]
 
 
-def estimate_cgs(csi: CsiBlock, a_unit: np.ndarray, phi_hat: np.ndarray,
-                 geom: ArrayGeometry) -> np.ndarray:
+def estimate_cgs(csi: CsiBlock, a_unit: np.ndarray, phi_hat: np.ndarray) -> np.ndarray:
     """Compensate phases, combine along the dynamic beam, remove DC.
 
     The combining gain |a| = sqrt(M) is divided out so d_hat estimates the
@@ -372,9 +367,9 @@ def estimate_cgs(csi: CsiBlock, a_unit: np.ndarray, phi_hat: np.ndarray,
 
 
 def run_estimator(csi: CsiBlock, geom: ArrayGeometry,
-                  cfg: EstimatorConfig = EstimatorConfig()) -> EstimateResult:
+                  grid_points: int = GRID_POINTS) -> EstimateResult:
     """Full pipeline; numerical failures are re-raised tagged with their stage."""
-    est = estimate_batch(_stack_of_one(csi), geom, cfg)
+    est = estimate_batch(_stack_of_one(csi), geom, grid_points)
     err = est.errors[0]
     if err is not None:
         raise err from err.original

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_rng
-
 
 @dataclass(frozen=True)
 class ReferenceSignal:
@@ -49,7 +47,7 @@ def make_reference_signal(m_t: int, n: int, k: int, seed) -> ReferenceSignal:
         raise ValueError(f"need N >= M_T, got N={n}, M_T={m_t}")
     if k < 1:
         raise ValueError(f"subcarrier count must be >= 1, got {k}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     mats = np.empty((k, m_t, n), dtype=complex)
     for i in range(k):
         g = rng.standard_normal((n, m_t)) + 1j * rng.standard_normal((n, m_t))
@@ -66,7 +64,7 @@ def simulate_received(h_k: np.ndarray, x_k: np.ndarray, sigma2: float, seed) -> 
         raise ValueError(f"channel {h_k.shape} incompatible with training {x_k.shape}")
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     shape = (h_k.shape[0], x_k.shape[1])
     noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return h_k @ x_k + noise
@@ -93,7 +91,7 @@ def sufficiency_check(m_r: int, m_t: int, n: int, k: int, sigma2: float,
     """
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials for a stable ratio, got {trials}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     ref = make_reference_signal(m_t, n, k, rng)
     h_dir = rng.standard_normal((k, m_r, m_t)) + 1j * rng.standard_normal((k, m_r, m_t))
     h_dir /= np.sqrt(np.sum(np.abs(h_dir) ** 2))

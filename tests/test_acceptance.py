@@ -6,11 +6,12 @@ as they complete (they are also shown on failure without -s).
 
 import numpy as np
 
-from asyncsense import (ArrayGeometry, CampaignConfig, EstimatorConfig, GainDistribution,
+from asyncsense import (ArrayGeometry, CampaignConfig, GainDistribution,
                         ScenarioParams, ahrcrb_cgs, draw_dynamic_gains, emit_csv,
                         finite_t_hrcrb_cgs, run_campaign, run_estimator, sufficiency_check,
                         synthesize_csi)
 import asyncsense.campaign as campaign_mod
+from asyncsense.estimator import GRID_POINTS
 from asyncsense.ofdm import make_reference_signal
 
 CAMPAIGN_SEED = 20240817
@@ -99,20 +100,19 @@ def test_criterion_7_estimator_vs_bounds():
     # off-grid theta still lands within one refined grid step
     geom = ArrayGeometry(8)
     rng = np.random.default_rng(1007)
-    ecfg = EstimatorConfig()
-    step = np.pi / ecfg.grid_points
+    step = np.pi / GRID_POINTS
     theta_on = -np.pi / 2 + (1200 + 0.5) * step
     h_s = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
     d = draw_dynamic_gains(128, GainDistribution(1.0), rng, constrained=True)
     phi = rng.normal(0, 0.4, 128).cumsum()
     phi -= phi.mean()
     blk = synthesize_csi(geom, ScenarioParams(theta_on, h_s, d, phi, 0.0), rng)
-    est = run_estimator(blk, geom, ecfg)
+    est = run_estimator(blk, geom)
     rec_ok = (abs(est.theta_hat - theta_on) <= step
               and np.max(np.abs(est.phi_hat - phi)) < 1e-10
               and np.max(np.abs(est.d_hat - d)) < 1e-10)
     blk_off = synthesize_csi(geom, ScenarioParams(0.3317, h_s, d, phi, 0.0), rng)
-    est_off = run_estimator(blk_off, geom, ecfg)
+    est_off = run_estimator(blk_off, geom)
     rec_ok &= abs(est_off.theta_hat - 0.3317) <= step
 
     _report(7, "estimator vs bounds", ok and rec_ok,

@@ -101,6 +101,32 @@ def test_verify_command_default(cfg_path, capsys):
                 "chain_orderings", "chain_schur_identity"} <= names
 
 
+@pytest.mark.parametrize("trials", ["0", "1", "-5"])
+def test_verify_refuses_fewer_than_two_trials(trials, capsys):
+    # a usage error that names the flag, before any check runs
+    assert main(["verify", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert f"argument --trials: must be at least 2, got {trials}" in captured.err
+    assert captured.out == ""
+
+
+def test_seed_flag_equals_the_seed_in_the_config(tmp_path, cfg_path, capsys):
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps({**json.loads(pathlib.Path(cfg_path).read_text()), "seed": 5}))
+    flag, key = tmp_path / "flag.csv", tmp_path / "key.csv"
+    assert main(["montecarlo", "--config", cfg_path, "--seed", "5", "--out", str(flag)]) == 0
+    assert main(["montecarlo", "--config", str(seeded), "--out", str(key)]) == 0
+    capsys.readouterr()
+    assert flag.read_bytes() == key.read_bytes()
+
+
+def test_estimate_missing_csi_file_exit_1(tmp_path, cfg_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["estimate", "--config", cfg_path, "--csi", str(missing)]) == 1
+    assert "file error" in capsys.readouterr().err
+    assert not (tmp_path / "estimate.csv").exists()
+
+
 def test_verify_fails_when_a_rho_draw_raises(monkeypatch, capsys):
     # one collinear row in a batch of draws fails the command; the check never skips it
     import asyncsense.campaign as campaign_mod

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from asyncsense import (ArrayGeometry, CampaignConfig, CsiBlock, DegenerateProjectionError,
-                        EstimatorConfig, EstimationStageError, GainDistribution, ScenarioParams,
+                        EstimationStageError, GainDistribution, ScenarioParams,
                         ahrcrb_cgs, beamspace_basis, draw_dynamic_gains, estimate_cgs,
                         estimate_phase_offsets, music_aoa, run_campaign, run_estimator,
                         steering_vector, synthesize_csi)
@@ -15,9 +15,8 @@ import asyncsense.campaign as campaign_mod
 import asyncsense.estimator as estimator_mod
 from asyncsense.array_model import synthesize_batch
 from asyncsense.campaign import sigma2_from_snr_db
-from asyncsense.estimator import _local_maxima, _select_peaks, estimate_batch
+from asyncsense.estimator import GRID_POINTS as GRID, _local_maxima, _select_peaks, estimate_batch
 
-GRID = EstimatorConfig().grid_points
 GRID_STEP = np.pi / GRID
 
 
@@ -36,8 +35,10 @@ def _noiseless_block(geom, theta, h_s, d, phi):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EstimatorConfig(grid_points=32)
+    blk = CsiBlock(np.ones((4, 8), dtype=complex))
+    for run in (music_aoa, run_estimator):
+        with pytest.raises(ValueError, match="grid_points must be >= 64, got 32"):
+            run(blk, ArrayGeometry(4), grid_points=32)
 
 
 def test_music_requires_noise_subspace_and_snapshots():
@@ -174,7 +175,7 @@ def test_cgs_exact_recovery_zero_phase():
     d = draw_dynamic_gains(32, GainDistribution(1.0), rng, constrained=True)
     blk, _ = _noiseless_block(geom, theta, h_s, d, np.zeros(32))
     a_unit, _ = beamspace_basis(theta, geom)
-    d_hat = estimate_cgs(blk, a_unit, np.zeros(32), geom)
+    d_hat = estimate_cgs(blk, a_unit, np.zeros(32))
     np.testing.assert_allclose(d_hat, d, atol=1e-10)
 
 
@@ -187,7 +188,7 @@ def test_cgs_exact_recovery_with_known_phases():
     d = draw_dynamic_gains(32, GainDistribution(1.0), rng, constrained=True)
     blk, _ = _noiseless_block(geom, theta, h_s, d, phi)
     a_unit, _ = beamspace_basis(theta, geom)
-    d_hat = estimate_cgs(blk, a_unit, phi, geom)
+    d_hat = estimate_cgs(blk, a_unit, phi)
     np.testing.assert_allclose(d_hat, d, atol=1e-10)
 
 
@@ -440,7 +441,7 @@ def test_music_spectrum_tiles_equal_the_whole_grid_product(monkeypatch, grid_poi
                                sigma2_from_snr_db(snr, cfg.p_d, cfg.m), noise)
         for tile in (256, grid_points):
             monkeypatch.setattr(estimator_mod, "_GRID_TILE", tile)
-            estimate_batch(csi, geom, EstimatorConfig(grid_points))
+            estimate_batch(csi, geom, grid_points)
     assert len(spectra) == 6
     for tiled, whole in zip(spectra[::2], spectra[1::2]):
         assert tiled.shape == (cfg.trials, grid_points)

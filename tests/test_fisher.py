@@ -371,6 +371,23 @@ def test_constrained_crb_collinear_static_channel_is_singular():
         constrained_crb(joint_fim(geom, params), constraint_basis(params.m, params.t))
 
 
+def test_constrained_crb_near_collinear_static_channel_hits_the_condition_limit():
+    # U^T J U stays positive definite, so only the condition guard stands
+    # between a near-collinear h_s and a CRB of rounding noise
+    geom, p = _params(m=4, t=8)
+    nudge = np.array([1, -1, 1, -1], dtype=complex)
+    basis = constraint_basis(4, 8)
+
+    def crb(eps):
+        h_s = 1.3 * steering_vector(geom, 0.3) + eps * nudge
+        return constrained_crb(joint_fim(geom, ScenarioParams(0.3, h_s, p.d, p.phi_o, p.sigma2)),
+                               basis)
+
+    with pytest.raises(SingularMatrixError, match="condition limit"):
+        crb(1e-5)
+    assert np.all(np.isfinite(crb(1e-4)))
+
+
 def test_reordered_blocks_structure():
     geom, params = _params()
     ro = reordered_blocks(geom, params)

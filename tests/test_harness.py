@@ -71,6 +71,38 @@ def test_parse_config_names_bad_field(tmp_path):
         parse_config(str(path))
 
 
+# one slot per numeric field and list of numbers, integer fields first; "X" marks it
+_INT_FIELDS = ("m", "t", "trials", "seed", "grid_points", "finite_t_trials", "mc_bound_trials")
+_NUMBER_SLOTS = [
+    *((name, _minimal_dict(**{name: "X"}))
+      for name in _INT_FIELDS + ("spacing", "p_d", "theta_d", "phi_walk_std")),
+    ("snr_db", _minimal_dict(snr_db=[0.0, "X"])),
+    ("h_s.power", _minimal_dict(h_s={"mode": "random", "power": "X"})),
+    ("h_s.re", _minimal_dict(h_s={"mode": "fixed", "re": [1, "X", 0, 0], "im": [0] * 4})),
+    ("h_s.im", _minimal_dict(h_s={"mode": "fixed", "re": [1] * 4, "im": [0, 0, 0, "X"]})),
+]
+
+
+@pytest.mark.parametrize("value", [True, False, "10"], ids=["true", "false", "string"])
+@pytest.mark.parametrize("name,raw", _NUMBER_SLOTS, ids=[name for name, _ in _NUMBER_SLOTS])
+def test_parse_config_refuses_booleans_and_strings_as_numbers(tmp_path, name, raw, value):
+    # float() would read true as 1.0 and "10" as 10.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw).replace('"X"', json.dumps(value)))
+    with pytest.raises(ConfigError, match=f"field '{name}'"):
+        parse_config(str(path))
+
+
+@pytest.mark.parametrize("name,raw", _NUMBER_SLOTS[len(_INT_FIELDS):],
+                         ids=[name for name, _ in _NUMBER_SLOTS[len(_INT_FIELDS):]])
+def test_parse_config_refuses_a_real_beyond_the_float_range(tmp_path, name, raw):
+    # a 400-digit JSON integer is a config error, not an OverflowError in float()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw).replace('"X"', "1" + "0" * 400))
+    with pytest.raises(ConfigError, match=f"field '{name}'"):
+        parse_config(str(path))
+
+
 def test_parse_config_reports_json_line(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"m": 4,\n  "t": }')
@@ -361,13 +393,13 @@ def test_campaign_raises_the_lowest_failing_chunk_whatever_the_timing(monkeypatc
     # chunks 1 and 3 of 6 raise; chunk 1 raises last, after chunk 3 has
     real = campaign_mod._run_chunk
 
-    def run_chunk(cfg, geom, h_s, sigma2, ecfg, point, trials):
+    def run_chunk(cfg, h_s, point, trials):
         chunk = 2 * point + trials.start // 4
         if chunk == 1:
             time.sleep(0.2)
         if chunk in (1, 3):
             raise ValueError(f"chunk {chunk} failed")
-        return real(cfg, geom, h_s, sigma2, ecfg, point, trials)
+        return real(cfg, h_s, point, trials)
 
     monkeypatch.setattr(campaign_mod, "CHUNK_TRIALS", 4)
     monkeypatch.setattr(campaign_mod, "_run_chunk", run_chunk)
@@ -481,12 +513,12 @@ def _failing_estimator(monkeypatch, stage_of):
     real_chunk, real_estimate = campaign_mod._run_chunk, campaign_mod.estimate_batch
     running = threading.local()
 
-    def run_chunk(cfg, geom, h_s, sigma2, ecfg, point, trials):
+    def run_chunk(cfg, h_s, point, trials):
         running.point, running.trials = point, trials
-        return real_chunk(cfg, geom, h_s, sigma2, ecfg, point, trials)
+        return real_chunk(cfg, h_s, point, trials)
 
-    def estimate(h, geom, cfg):
-        est = real_estimate(h, geom, cfg)
+    def estimate(h, geom, grid_points):
+        est = real_estimate(h, geom, grid_points)
         stages = [stage_of(running.point, trial) for trial in running.trials]
         errors = tuple(EstimationStageError(stage, ValueError("boom")) if stage else err
                        for stage, err in zip(stages, est.errors))
