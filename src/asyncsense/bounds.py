@@ -100,8 +100,6 @@ def hrcrb_theta(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma2: floa
 
     if mode != "monte-carlo":
         raise ValueError(f"unknown mode {mode!r}")
-    if trials < 2:
-        raise ValueError("monte-carlo mode needs at least 2 trials")
 
     def per_draw(d):
         info = _efim_theta(g, d, sigma2)
@@ -163,8 +161,6 @@ def finite_t_hrcrb_cgs(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma
     """Finite-T Monte Carlo per-snapshot CGS bound, converging to AHRCRB_d from above."""
     if t < 2:
         raise ValueError(f"need T >= 2, got {t}")
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
     _check_sigma2(sigma2)
     g = steering_geometry(geom, theta, h_s).checked()
     kept, mean, stderr, discard_rate = _monte_carlo(
@@ -177,23 +173,23 @@ def _monte_carlo(per_draw, dist: GainDistribution, trials: int, t: int, seed):
     """Mean over the valid trials of ``per_draw(d) -> (values, valid)``, d the circular
     gain draws (rows, T) of one chunk.
 
-    The stream holds the real parts of every trial, then the imaginary parts: the
-    real parts are drawn whole as (trials, T) and the imaginary parts chunk by
-    chunk.  Each chunk holds about ``_CHUNK_ELEMENTS`` gains.  Returns (kept,
-    mean, stderr of the mean, discard rate); more than MAX_DISCARD_RATE
-    discarded trials raise.
+    Each chunk of about ``_CHUNK_ELEMENTS`` gains draws its own (rows, 2, T)
+    normals, so the stream is that of one (trials, 2, T) draw at any chunk size.
+    Returns (kept, mean, stderr of the mean, discard rate); more than
+    MAX_DISCARD_RATE discarded trials raise.
     """
+    if trials < 2:
+        raise ValueError(f"need at least 2 Monte Carlo trials, got {trials}")
     rng = np.random.default_rng(seed)
-    real = rng.standard_normal((trials, t))
     values = np.empty(trials)
     valid = np.empty(trials, dtype=bool)
     step = max(1, _CHUNK_ELEMENTS // t)
     for lo in range(0, trials, step):
         rows = slice(lo, min(lo + step, trials))
-        imag = rng.standard_normal(real[rows].shape)
         values[rows], valid[rows] = per_draw(
-            gains_from_normals(np.stack([real[rows], imag], axis=-2), dist))
-    discard_rate = 1.0 - valid.sum() / trials
+            gains_from_normals(rng.standard_normal((rows.stop - lo, 2, t)), dist))
+    # the count is divided last, so a rate exactly at the limit is not rounded past it
+    discard_rate = (trials - int(valid.sum())) / trials
     if discard_rate > MAX_DISCARD_RATE:
         raise DegenerateBoundError(
             f"{discard_rate:.2%} of gain draws gave non-positive equivalent information "
@@ -202,7 +198,7 @@ def _monte_carlo(per_draw, dist: GainDistribution, trials: int, t: int, seed):
     kept = values[valid]
     mean = math.fsum(kept) / kept.size
     stderr = float(np.std(kept, ddof=1)) / math.sqrt(kept.size)
-    return int(kept.size), mean, stderr, float(discard_rate)
+    return int(kept.size), mean, stderr, discard_rate
 
 
 def _separated_h_s(rng, geom: ArrayGeometry, theta, margin: float):

@@ -166,8 +166,11 @@ def main(argv=None) -> int:
     except ConfigError as err:
         sys.stderr.write(f"config error: {err}\n")
         return EXIT_USAGE
-    except FileNotFoundError as err:
+    except OSError as err:
         sys.stderr.write(f"file error: {err}\n")
+        return EXIT_USAGE
+    except MemoryError as err:
+        sys.stderr.write(f"memory error: {err}\n")
         return EXIT_USAGE
     except (ArithmeticError, np.linalg.LinAlgError, EstimationStageError, RuntimeError) as err:
         sys.stderr.write(f"numerical failure: {err}\n")

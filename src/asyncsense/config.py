@@ -150,10 +150,14 @@ def _from_dict(raw: dict) -> CampaignConfig:
 def parse_config(path: str) -> CampaignConfig:
     """Load, validate, and default-fill a campaign config; unknown keys are rejected."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {path} is not UTF-8 text (byte {err.start})")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON (line {err.lineno}, col {err.colno}): {err.msg}")
     return _from_dict(raw)

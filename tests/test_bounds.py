@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from asyncsense import (ArrayGeometry, BoundReport, ChainCheckReport, CollinearityError,
-                        GainDistribution, ScenarioParams, ahrcrb_cgs, finite_t_hrcrb_cgs,
-                        hrcrb_theta, reordered_blocks, rho_theta, steering_vector,
-                        verify_hrcrb_chain)
+                        DegenerateBoundError, GainDistribution, ScenarioParams, ahrcrb_cgs,
+                        finite_t_hrcrb_cgs, hrcrb_theta, reordered_blocks, rho_theta,
+                        steering_vector, verify_hrcrb_chain)
 import asyncsense.bounds as bounds_mod
 from asyncsense.array_model import _steering_pair, gains_from_normals
 from asyncsense.bounds import _cgs_trace_draws, _separated_h_s
@@ -177,23 +177,51 @@ def test_monte_carlo_bounds_do_not_depend_on_chunk_size(reference_scenario, monk
         assert rep.mc_trials == 1001 and rep.mc_stderr > 0
 
 
-def test_hrcrb_monte_carlo_draws_real_then_imaginary_parts(reference_scenario):
-    # the stream is that of drawing Re d and then Im d as two (trials, T) arrays
+def test_monte_carlo_bounds_draw_one_rows_by_2_by_t_stream(reference_scenario):
+    # both bounds see the gains of one (trials, 2, T) standard-normal draw
     geom, theta, h_s, sigma2, p_d = reference_scenario
-    dist = GainDistribution(p_d)
+    dist, g = GainDistribution(p_d), steering_geometry(geom, theta, h_s)
+
+    def summary(values):
+        mean = math.fsum(values) / values.size
+        return mean, float(np.std(values, ddof=1)) / math.sqrt(values.size), values.size
+
     for t, trials, seed in ((16, 3000, 0), (128, 700, 21), (3, 50000, 4)):
-        rng = np.random.default_rng(seed)
-        re, im = rng.standard_normal((trials, t)), rng.standard_normal((trials, t))
-        info = _efim_theta(steering_geometry(geom, theta, h_s), np.sqrt(p_d / 2.0)
-                           * (re + 1j * im), sigma2)
-        kept = info[info > 0]
-        mean = math.fsum(kept) / kept.size
-        stderr = float(np.std(kept, ddof=1)) / math.sqrt(kept.size)
+        d = gains_from_normals(np.random.default_rng(seed).standard_normal((trials, 2, t)), dist)
+        info = _efim_theta(g, d, sigma2)
+        mean, stderr, kept = summary(info[info > 0])
         mc = hrcrb_theta(geom, theta, h_s, sigma2, t, dist, mode="monte-carlo",
                          trials=trials, seed=seed)
-        assert mc.value == 1.0 / mean
-        assert mc.mc_stderr == stderr / mean ** 2
-        assert mc.mc_trials == kept.size
+        assert (mc.value, mc.mc_stderr, mc.mc_trials) == (1.0 / mean, stderr / mean ** 2, kept)
+        values, valid = _cgs_trace_draws(g, sigma2, d)
+        mean, stderr, kept = summary(values[valid])
+        cgs = finite_t_hrcrb_cgs(geom, theta, h_s, sigma2, t, dist, trials=trials, seed=seed)
+        assert (cgs.value, cgs.mc_stderr, cgs.mc_trials) == (mean, stderr, kept)
+
+
+def _first_rows_discarded(discard):
+    """A ``per_draw`` whose first ``discard`` rows, counted across chunks, are invalid."""
+    seen = 0
+
+    def per_draw(d):
+        nonlocal seen
+        rows = np.arange(seen, seen + d.shape[0])
+        seen += d.shape[0]
+        return np.ones(d.shape[0]), rows >= discard
+    return per_draw
+
+
+@pytest.mark.parametrize("trials", [1000, 2000, 10000])
+def test_monte_carlo_discard_gate(trials):
+    dist, limit = GainDistribution(1.0), round(trials * bounds_mod.MAX_DISCARD_RATE)
+    kept, mean, _, rate = bounds_mod._monte_carlo(_first_rows_discarded(limit), dist,
+                                                  trials, 8, 0)
+    assert (kept, mean) == (trials - limit, 1.0)
+    assert rate == bounds_mod.MAX_DISCARD_RATE
+    with pytest.raises(DegenerateBoundError, match=rf"{(limit + 1) / trials:.2%} of gain draws"):
+        bounds_mod._monte_carlo(_first_rows_discarded(limit + 1), dist, trials, 8, 0)
+    with pytest.raises(ValueError, match="at least 2"):
+        bounds_mod._monte_carlo(_first_rows_discarded(0), dist, 1, 8, 0)
 
 
 def test_separated_h_s_redraws_from_one_stream():
@@ -382,20 +410,32 @@ def test_cgs_trace_near_collinear_matches_mpmath():
     assert abs(values[0] - want) <= 1e-12 * want
 
 
-def test_hrcrb_monte_carlo_memory_stays_chunked():
-    # 20000 trials x T=128: the real parts are drawn whole (20 MB), the imaginary parts
-    # and the other chunk temporaries a few MB
+def _monte_carlo_peak_bytes(bound, t):
+    """Traced peak of one 20000-trial Monte Carlo bound at M=8 and the given T."""
     geom = ArrayGeometry(8)
     rng = np.random.default_rng(14)
     h_s = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
+    dist = GainDistribution(1.0)
     tracemalloc.start()
     try:
-        hrcrb_theta(geom, 0.35, h_s, 0.1, 128, GainDistribution(1.0), "monte-carlo",
-                    trials=20000, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        if bound == "hrcrb_theta":
+            hrcrb_theta(geom, 0.35, h_s, 0.1, t, dist, "monte-carlo", trials=20000, seed=0)
+        else:
+            finite_t_hrcrb_cgs(geom, 0.35, h_s, 0.1, t, dist, trials=20000, seed=0)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+
+
+def test_hrcrb_monte_carlo_memory_stays_chunked():
+    # the per-trial values and one chunk's temporaries, never a trials x T array (20 MB)
+    assert _monte_carlo_peak_bytes("hrcrb_theta", 128) < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("bound", ["hrcrb_theta", "finite_t_hrcrb_cgs"])
+def test_monte_carlo_memory_does_not_grow_with_t(bound):
+    # a trials x T array would be 156 MB at T=1024
+    assert _monte_carlo_peak_bytes(bound, 1024) < 8 * 2 ** 20
 
 
 def test_verify_hrcrb_chain_clean(reference_scenario):

@@ -127,6 +127,38 @@ def test_estimate_missing_csi_file_exit_1(tmp_path, cfg_path, capsys):
     assert not (tmp_path / "estimate.csv").exists()
 
 
+def _error_lines(err):
+    """The stderr lines that are not the effective-config echo."""
+    return [line for line in err.splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("argv", [["fim", "--config", "{dir}"],
+                                  ["bounds", "--config", "{cfg}", "--out", "{dir}"],
+                                  ["estimate", "--config", "{cfg}", "--csi", "{dir}"]],
+                         ids=["fim-config", "bounds-out", "estimate-csi"])
+def test_a_directory_path_exits_1_naming_it(argv, tmp_path, cfg_path, capsys):
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    assert main([arg.format(dir=directory, cfg=cfg_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = _error_lines(err)
+    assert len(lines) == 1 and str(directory) in lines[0]
+
+
+def test_memory_error_exits_1_with_one_line(monkeypatch, cfg_path, capsys):
+    # the allocation is never made: a real one could succeed under overcommit and touch pages
+    import asyncsense.cli as cli_mod
+
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 671. GiB for an array with shape (300001, 300001)")
+
+    monkeypatch.setattr(cli_mod, "joint_fim", too_large)
+    assert main(["fim", "--config", cfg_path]) == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        "memory error: Unable to allocate 671. GiB for an array with shape (300001, 300001)"]
+
+
 def test_verify_fails_when_a_rho_draw_raises(monkeypatch, capsys):
     # one collinear row in a batch of draws fails the command; the check never skips it
     import asyncsense.campaign as campaign_mod

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import sys
 import threading
 import time
@@ -113,6 +114,13 @@ def test_parse_config_reports_json_line(tmp_path):
 def test_parse_config_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/nonexistent/cfg.json")
+
+
+def test_parse_config_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"m": 4, "t": 8, "note": "\xff"}')
+    with pytest.raises(ConfigError, match=re.escape(f"config file {path} is not UTF-8 text")):
+        parse_config(str(path))
 
 
 def test_config_h_s_fixed_length_check():
