@@ -8,7 +8,7 @@ existing streams):
     SeedSequence(master, spawn_key=(2, point))         Monte Carlo AoA bound
     SeedSequence(master, spawn_key=(3, point))         finite-T CGS bound
     SeedSequence(master, spawn_key=(4, 0)), (4, 1)     verification suites (`verify`)
-    SeedSequence(master, spawn_key=(5, 0))             noise of a synthesized `estimate` block
+    SeedSequence(master, spawn_key=(5, 0))             noise of the block estimate_input synthesizes
 
 Estimator trials run in chunks of CHUNK_TRIALS stacked blocks, on the calling
 thread and CHUNK_HELPERS helper threads.  Each trial draws from its own stream
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import (ArrayGeometry, GainDistribution, ScenarioParams, _steering_pair,
-                          gains_from_normals, synthesize_batch)
+from .array_model import (ArrayGeometry, CsiBlock, GainDistribution, ScenarioParams,
+                          _steering_pair, gains_from_normals, synthesize_batch, synthesize_csi)
 from .bounds import (_separated_h_s, ahrcrb_cgs, finite_t_hrcrb_cgs, hrcrb_theta, rho_theta,
                      verify_hrcrb_chain)
 from .config import CampaignConfig
@@ -82,12 +82,6 @@ class VerifyCheck:
 
 
 @dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple
-    ok: bool
-
-
-@dataclass(frozen=True)
 class CampaignResult:
     rows: tuple
     trial_results: dict = None
@@ -98,19 +92,15 @@ def sigma2_from_snr_db(snr_db: float, p_d: float, m: int) -> float:
     return p_d * m / 10.0 ** (snr_db / 10.0)
 
 
-def _trial_stream(master: int, point: int, trial: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(master, spawn_key=(0, point, trial))
-
-
-def _campaign_stream(master: int, kind: int, index: int = 0) -> np.random.SeedSequence:
-    return np.random.SeedSequence(master, spawn_key=(kind, index))
+def _stream(master: int, *key: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(master, spawn_key=key)
 
 
 def resolve_h_s(cfg: CampaignConfig) -> np.ndarray:
     """Campaign-level static channel: fixed vector or one seeded draw per campaign."""
     if cfg.h_s.mode == "fixed":
         return np.array(cfg.h_s.re) + 1j * np.array(cfg.h_s.im)
-    rng = np.random.default_rng(_campaign_stream(cfg.seed, 1))
+    rng = np.random.default_rng(_stream(cfg.seed, 1, 0))
     scale = np.sqrt(cfg.h_s.power / 2.0)
     return scale * (rng.standard_normal(cfg.m) + 1j * rng.standard_normal(cfg.m))
 
@@ -124,7 +114,7 @@ def _trial_draws(cfg: CampaignConfig, point: int, trials: range):
     t, m = cfg.t, cfg.m
     z = np.empty((len(trials), 3 * t + 2 * m * t))
     for k, trial in enumerate(trials):
-        np.random.default_rng(_trial_stream(cfg.seed, point, trial)).standard_normal(out=z[k])
+        np.random.default_rng(_stream(cfg.seed, 0, point, trial)).standard_normal(out=z[k])
     d = gains_from_normals(z[:, :2 * t].reshape(-1, 2, t), GainDistribution(cfg.p_d),
                            constrained=True)
     phi = (cfg.phi_walk_std * z[:, 2 * t:3 * t]).cumsum(axis=1)
@@ -164,12 +154,19 @@ def check_estimator_inputs(cfg: CampaignConfig):
         )
 
 
-def scenario_from_config(cfg: CampaignConfig, point: int = 0, trial: int = 0) -> ScenarioParams:
-    """A concrete scenario draw (used by the fim/estimate CLI paths)."""
+def scenario_from_config(cfg: CampaignConfig) -> ScenarioParams:
+    """Trial 0 of SNR point 0 as a concrete scenario (the fim/estimate CLI paths)."""
     h_s = resolve_h_s(cfg)
-    sigma2 = sigma2_from_snr_db(cfg.snr_db[point], cfg.p_d, cfg.m)
-    d, phi, _ = _trial_draws(cfg, point, range(trial, trial + 1))
+    sigma2 = sigma2_from_snr_db(cfg.snr_db[0], cfg.p_d, cfg.m)
+    d, phi, _ = _trial_draws(cfg, 0, range(1))
     return ScenarioParams(cfg.theta_d, h_s, d[0], phi[0], sigma2)
+
+
+def estimate_input(cfg: CampaignConfig) -> CsiBlock:
+    """The block `estimate` runs on without --csi: that scenario plus noise from (5, 0)."""
+    check_estimator_inputs(cfg)
+    return synthesize_csi(ArrayGeometry(cfg.m, cfg.spacing), scenario_from_config(cfg),
+                          _stream(cfg.seed, 5, 0))
 
 
 def _run_chunk(cfg: CampaignConfig, h_s: np.ndarray, point: int, trials: range) -> list:
@@ -246,13 +243,12 @@ def _mean_and_stderr(values) -> tuple:
 
 def run_campaign(cfg: CampaignConfig, keep_trials: bool = False) -> CampaignResult:
     """Execute the configured campaign; deterministic for fixed (config, seed)."""
-    if cfg.mode == "estimator":
-        check_estimator_inputs(cfg)
     geom = ArrayGeometry(cfg.m, cfg.spacing)
     h_s = resolve_h_s(cfg)
     dist = GainDistribution(cfg.p_d)
     chunks = []
     if cfg.mode == "estimator":
+        check_estimator_inputs(cfg)
         chunks = [(cfg, h_s, point, range(start, min(start + CHUNK_TRIALS, cfg.trials)))
                   for point in range(len(cfg.snr_db))
                   for start in range(0, cfg.trials, CHUNK_TRIALS)]
@@ -270,13 +266,13 @@ def run_campaign(cfg: CampaignConfig, keep_trials: bool = False) -> CampaignResu
         if cfg.mode == "bounds-only":
             mc = hrcrb_theta(geom, cfg.theta_d, h_s, sigma2, cfg.t, dist,
                              mode="monte-carlo", trials=cfg.mc_bound_trials,
-                             seed=_campaign_stream(cfg.seed, 2, point))
+                             seed=_stream(cfg.seed, 2, point))
             rows.append(ResultRow(snr, "hrcrb_theta_mc", mc.value, mc.mc_stderr,
                                   mc.mc_trials, cfg.seed))
         if cfg.finite_t:
             ft = finite_t_hrcrb_cgs(geom, cfg.theta_d, h_s, sigma2, cfg.t, dist,
                                     trials=cfg.finite_t_trials,
-                                    seed=_campaign_stream(cfg.seed, 3, point))
+                                    seed=_stream(cfg.seed, 3, point))
             rows.append(ResultRow(snr, "finite_t_hrcrb_d", ft.value, ft.mc_stderr,
                                   ft.mc_trials, cfg.seed))
 
@@ -426,14 +422,13 @@ def check_hrcrb_chain(m: int, t: int, p_d: float, trials: int, seed,
 
 
 def run_verification(m: int = 4, t: int = 4, p_d: float = 1.0, trials: int = 2000,
-                     seed: int = 0, spacing: float = 0.5) -> VerificationReport:
-    """Every property check; trials=10**4 gives the acceptance tests' counts."""
-    sub = _campaign_stream(seed, 4).spawn(3)
-    checks = (
+                     seed: int = 0, spacing: float = 0.5) -> tuple:
+    """Every property check's VerifyCheck; trials=10**4 gives the acceptance tests' counts."""
+    sub = _stream(seed, 4, 0).spawn(3)
+    return (
         check_rho_range(trials, sub[0]),
         check_fim_oracle(max(5, trials // 200), sub[1]),
         check_schur_consistency(max(10, trials // 100), sub[2]),
         check_constraint_basis(),
-        *check_hrcrb_chain(m, t, p_d, trials, _campaign_stream(seed, 4, 1), spacing=spacing),
+        *check_hrcrb_chain(m, t, p_d, trials, _stream(seed, 4, 1), spacing=spacing),
     )
-    return VerificationReport(checks=checks, ok=all(c.passed for c in checks))

@@ -5,13 +5,15 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification failur
 """
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import campaign as camp
-from .array_model import ArrayGeometry, synthesize_csi
+from .array_model import ArrayGeometry
 from .config import CampaignConfig, config_to_json, parse_config
 from .csvio import ResultRow, emit_csv, read_csi_csv, write_matrix_csv
 from .estimator import run_estimator
@@ -40,22 +42,39 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=config_required, help="campaign config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
 
-    def writer(name, text):
+    def writer(name, text, handler, out):
         p = sub.add_parser(name, help=text)
         common(p)
-        p.add_argument("--out", default=None, help="output CSV path")
+        p.add_argument("--out", default=out, help="output CSV path (default: %(default)s)")
+        p.set_defaults(handler=handler)
         return p
 
-    writer("fim", "dump the joint FIM and constrained CRB for a scenario")
-    writer("bounds", "closed-form + Monte Carlo bounds over the SNR grid")
-    p_est = writer("estimate", "run the estimation pipeline on one CSI block")
+    writer("fim", "dump the joint FIM and constrained CRB for a scenario", _cmd_fim, "fim.csv")
+    writer("bounds", "closed-form + Monte Carlo bounds over the SNR grid", _cmd_campaign,
+           "bounds.csv")
+    p_est = writer("estimate", "run the estimation pipeline on one CSI block", _cmd_estimate,
+                   "estimate.csv")
     p_est.add_argument("--csi", default=None,
                        help="CSI CSV (M rows x 2T interleaved re,im); synthesized when omitted")
-    writer("montecarlo", "full bound-vs-MSE campaign")
+    writer("montecarlo", "full bound-vs-MSE campaign", _cmd_campaign, "campaign.csv")
     p_ver = sub.add_parser("verify", help="run the numerical property suites")
     common(p_ver, config_required=False)
     p_ver.add_argument("--trials", type=int, default=2000)
+    p_ver.set_defaults(handler=_cmd_verify)
     return parser
+
+
+def _crb_path(out: str) -> str:
+    return out[:-4] + ".crb.csv" if out.endswith(".csv") else out + ".crb.csv"
+
+
+def _check_outputs(args):
+    """Raise the OSError that opening an output of `args` for writing would, creating nothing."""
+    for path in (args.out, _crb_path(args.out)) if args.command == "fim" else (args.out,):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _load_config(args) -> CampaignConfig:
@@ -75,36 +94,31 @@ def _cmd_fim(args) -> int:
     fim = joint_fim(geom, params)
     basis = constraint_basis(cfg.m, cfg.t)
     crb = constrained_crb(fim, basis)
-    out = args.out or "fim.csv"
-    write_matrix_csv(fim.data, out)
+    write_matrix_csv(fim.data, args.out)
     n = fim.data.shape[0]
     del fim  # the FIM's n x n array goes before the CRB's write table is mapped
-    crb_out = out[:-4] + ".crb.csv" if out.endswith(".csv") else out + ".crb.csv"
+    crb_out = _crb_path(args.out)
     write_matrix_csv(crb, crb_out)
-    print(f"wrote joint FIM ({n}x{n}) to {out}")
+    print(f"wrote joint FIM ({n}x{n}) to {args.out}")
     print(f"wrote constrained CRB to {crb_out}")
     return EXIT_OK
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_campaign(args) -> int:
+    """`montecarlo` runs the configured campaign, `bounds` its bounds-only form."""
     cfg = _load_config(args)
-    result = camp.run_campaign(replace(cfg, mode="bounds-only"))
-    out = args.out or "bounds.csv"
-    emit_csv(result.rows, out)
-    print(f"wrote {len(result.rows)} bound rows to {out}")
+    if args.command == "bounds":
+        cfg = replace(cfg, mode="bounds-only")
+    result = camp.run_campaign(cfg)
+    emit_csv(result.rows, args.out)
+    print(f"wrote {len(result.rows)} rows to {args.out}")
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
-    geom = ArrayGeometry(cfg.m, cfg.spacing)
-    if args.csi:
-        csi = read_csi_csv(args.csi)
-    else:
-        camp.check_estimator_inputs(cfg)
-        params = camp.scenario_from_config(cfg)
-        csi = synthesize_csi(geom, params, camp._campaign_stream(cfg.seed, 5))
-    est = run_estimator(csi, geom, cfg.grid_points)
+    csi = read_csi_csv(args.csi) if args.csi else camp.estimate_input(cfg)
+    est = run_estimator(csi, ArrayGeometry(cfg.m, cfg.spacing), cfg.grid_points)
     rows = [ResultRow(None, "theta_hat", est.theta_hat, None, 1, cfg.seed)]
     rows += [ResultRow(None, f"phi_hat_{t}", v, None, 1, cfg.seed)
              for t, v in enumerate(est.phi_hat)]
@@ -112,18 +126,8 @@ def _cmd_estimate(args) -> int:
              for t, v in enumerate(est.d_hat)]
     rows += [ResultRow(None, f"d_hat_im_{t}", v.imag, None, 1, cfg.seed)
              for t, v in enumerate(est.d_hat)]
-    out = args.out or "estimate.csv"
-    emit_csv(rows, out)
-    print(f"theta_hat = {est.theta_hat:.6f} rad; wrote estimates to {out}")
-    return EXIT_OK
-
-
-def _cmd_montecarlo(args) -> int:
-    cfg = _load_config(args)
-    result = camp.run_campaign(cfg)
-    out = args.out or "campaign.csv"
-    emit_csv(result.rows, out)
-    print(f"wrote {len(result.rows)} rows to {out}")
+    emit_csv(rows, args.out)
+    print(f"theta_hat = {est.theta_hat:.6f} rad; wrote estimates to {args.out}")
     return EXIT_OK
 
 
@@ -131,19 +135,16 @@ def _cmd_verify(args) -> int:
     """The property checks; --config supplies m, min(t, 8), p_d, spacing and seed."""
     if args.config:
         cfg = _load_config(args)
-        report = camp.run_verification(m=cfg.m, t=min(cfg.t, 8), p_d=cfg.p_d,
+        checks = camp.run_verification(m=cfg.m, t=min(cfg.t, 8), p_d=cfg.p_d,
                                        trials=args.trials, seed=cfg.seed, spacing=cfg.spacing)
     else:
-        report = camp.run_verification(trials=args.trials,
-                                       seed=args.seed if args.seed is not None else 0)
-    for c in report.checks:
+        checks = camp.run_verification(trials=args.trials, seed=args.seed or 0)
+    for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status}  {c.name:<24} worst={c.worst:.3e}  threshold={c.threshold:.1e}")
-    if not report.ok:
-        print("verification FAILED")
-        return EXIT_VERIFY
-    print("all verification checks passed")
-    return EXIT_OK
+    passed = all(c.passed for c in checks)
+    print("all verification checks passed" if passed else "verification FAILED")
+    return EXIT_OK if passed else EXIT_VERIFY
 
 
 def main(argv=None) -> int:
@@ -154,15 +155,10 @@ def main(argv=None) -> int:
             parser.error(f"argument --trials: must be at least 2, got {args.trials}")
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "fim": _cmd_fim,
-        "bounds": _cmd_bounds,
-        "estimate": _cmd_estimate,
-        "montecarlo": _cmd_montecarlo,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        if "out" in args:  # before any FIM, bound or trial is computed
+            _check_outputs(args)
+        return args.handler(args)
     except ConfigError as err:
         sys.stderr.write(f"config error: {err}\n")
         return EXIT_USAGE

@@ -47,13 +47,9 @@ def make_reference_signal(m_t: int, n: int, k: int, seed) -> ReferenceSignal:
         raise ValueError(f"need N >= M_T, got N={n}, M_T={m_t}")
     if k < 1:
         raise ValueError(f"subcarrier count must be >= 1, got {k}")
-    rng = np.random.default_rng(seed)
-    mats = np.empty((k, m_t, n), dtype=complex)
-    for i in range(k):
-        g = rng.standard_normal((n, m_t)) + 1j * rng.standard_normal((n, m_t))
-        q, _ = np.linalg.qr(g)
-        mats[i] = q[:, :m_t].conj().T
-    return ReferenceSignal(mats)
+    z = np.random.default_rng(seed).standard_normal((k, 2, n, m_t))
+    q, _ = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    return ReferenceSignal(np.ascontiguousarray(q.conj().swapaxes(1, 2)))
 
 
 def simulate_received(h_k: np.ndarray, x_k: np.ndarray, sigma2: float, seed) -> np.ndarray:

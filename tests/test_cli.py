@@ -13,6 +13,12 @@ from asyncsense.cli import main
 from asyncsense.csvio import read_matrix_csv
 
 
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    # a default --out is relative to the working directory: keep it in the test's own
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture
 def cfg_path(tmp_path):
     cfg = {"m": 6, "t": 32, "snr_db": [10.0], "trials": 5, "seed": 3, "grid_points": 512}
@@ -144,6 +150,54 @@ def test_a_directory_path_exits_1_naming_it(argv, tmp_path, cfg_path, capsys):
     assert "Traceback" not in err
     lines = _error_lines(err)
     assert len(lines) == 1 and str(directory) in lines[0]
+
+
+@pytest.mark.parametrize("command, default, written", [
+    ("fim", "fim.csv", {"fim.csv", "fim.crb.csv"}),
+    ("bounds", "bounds.csv", {"bounds.csv"}),
+    ("estimate", "estimate.csv", {"estimate.csv"}),
+    ("montecarlo", "campaign.csv", {"campaign.csv"})],
+    ids=["fim", "bounds", "estimate", "montecarlo"])
+def test_default_out_is_shown_in_help_and_written_there(command, default, written, tmp_path,
+                                                        cfg_path, capsys):
+    assert main([command, "--help"]) == 0
+    assert f"(default: {default})" in " ".join(capsys.readouterr().out.split())
+    assert main([command, "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert {p.name for p in tmp_path.iterdir()} == written | {"cfg.json"}
+
+
+@pytest.fixture
+def nothing_computed(monkeypatch):
+    """Make every FIM, campaign and estimator call fail the test."""
+    import asyncsense.campaign as campaign_mod
+    import asyncsense.cli as cli_mod
+
+    def called(*args, **kwargs):
+        pytest.fail("work started before the output paths were checked")
+
+    monkeypatch.setattr(cli_mod, "joint_fim", called)
+    monkeypatch.setattr(cli_mod, "run_estimator", called)
+    monkeypatch.setattr(campaign_mod, "run_campaign", called)
+
+
+@pytest.mark.parametrize("command, case", [
+    *((command, case) for command in ("fim", "bounds", "estimate", "montecarlo")
+      for case in ("directory", "missing-parent")),
+    ("fim", "crb-directory")])
+def test_an_unwritable_out_fails_before_any_work(command, case, tmp_path, cfg_path, capsys,
+                                                 nothing_computed):
+    # the check creates and truncates nothing; a permission case cannot be tested as root
+    out, bad = {"directory": (tmp_path / "a_directory",) * 2,
+                "missing-parent": (tmp_path / "missing" / "x.csv",) * 2,
+                "crb-directory": (tmp_path / "x.csv", tmp_path / "x.crb.csv")}[case]
+    if case != "missing-parent":
+        bad.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and lines[0].startswith("file error: ") and str(bad) in lines[0]
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_memory_error_exits_1_with_one_line(monkeypatch, cfg_path, capsys):

@@ -249,6 +249,14 @@ def test_constrained_crb_singularity_error_names_eigenvalue():
         constrained_crb(FimMatrix(np.zeros((lay.dim, lay.dim)), lay), basis)
 
 
+@pytest.mark.parametrize("m, t", [(3, 3), (2, 4)])
+def test_constrained_crb_refuses_a_basis_of_another_layout(m, t):
+    from asyncsense.fisher import FimMatrix
+    lay = ParamLayout(2, 3)
+    with pytest.raises(ValueError, match="constraint basis does not match the FIM layout"):
+        constrained_crb(FimMatrix(np.eye(lay.dim), lay), constraint_basis(m, t))
+
+
 def _dense_constrained_crb(fim, basis):
     """Oracle: U (U^T J U)^{-1} U^T with dense products and a dense solve."""
     u = basis.u

@@ -297,6 +297,24 @@ def test_read_matrix_csv_rejects_malformed_files(tmp_path, text, match):
         read_matrix_csv(str(path))
 
 
+@pytest.mark.parametrize("text, match", [
+    ("snr,metric,value,stderr,trials,seed\n", "unexpected header"),
+    (",".join(csvio.RESULT_HEADER) + "\n10,mse_d,0.5,,7\n", "malformed row"),
+])
+def test_parse_results_csv_rejects_malformed_files(tmp_path, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        parse_results_csv(str(path))
+
+
+def test_read_csi_csv_rejects_an_odd_column_count(tmp_path):
+    path = tmp_path / "csi.csv"
+    path.write_text("1,0,2\n3,0,4\n")
+    with pytest.raises(ValueError, match="even column count"):
+        read_csi_csv(str(path))
+
+
 def test_estimate_rejects_an_empty_csi_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(_minimal_dict()))

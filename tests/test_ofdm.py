@@ -29,6 +29,19 @@ def test_reference_signal_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("m_t,n,k", [(2, 4, 2), (3, 7, 5), (4, 16, 64)])
+def test_reference_signal_matches_the_per_subcarrier_loop(m_t, n, k):
+    # the stream: per subcarrier, the (N, M_T) real parts, then the imaginary parts
+    rng = np.random.default_rng(11)
+    expected = []
+    for _ in range(k):
+        g = rng.standard_normal((n, m_t)) + 1j * rng.standard_normal((n, m_t))
+        expected.append(np.linalg.qr(g)[0].conj().T)
+    x = make_reference_signal(m_t, n, k, seed=11).x
+    assert x.flags.c_contiguous
+    np.testing.assert_array_equal(x, np.array(expected))
+
+
 def test_simulate_received_noiseless_and_deterministic():
     rng = np.random.default_rng(2)
     h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
