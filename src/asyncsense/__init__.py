@@ -17,7 +17,7 @@ from .exceptions import (CollinearityError, ConfigError, DegenerateBoundError,
 from .fisher import (ConstraintBasis, FimMatrix, ParamLayout, ReorderedFim,
                      constrained_crb, constraint_basis, efim_theta_closed, efim_theta_schur,
                      fim_numeric_oracle, joint_fim, psi_block_inverse, reordered_blocks)
-from .ofdm import (ReferenceSignal, SufficiencyReport, ls_estimate, make_reference_signal,
-                   simulate_received, sufficiency_check)
+from .ofdm import (SufficiencyReport, ls_estimate, make_reference_signal, simulate_received,
+                   sufficiency_check)
 
 __version__ = "0.1.0"

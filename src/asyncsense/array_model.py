@@ -119,14 +119,6 @@ class CsiBlock:
         if self.data.ndim != 2:
             raise ValueError("CSI block must be a 2-D matrix (antennas x snapshots)")
 
-    @property
-    def m(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def t(self) -> int:
-        return self.data.shape[1]
-
 
 def _check_theta(theta):
     """Raise unless theta, one angle or an ndarray of them, lies in (-pi/2, pi/2)."""

@@ -83,7 +83,7 @@ def hrcrb_theta(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma2: floa
     closed-form:  sigma2 * M / (T p_d (Gamma - Xi / (2 Delta)))
                   = rho * sigma2 * M / (T p_d Gamma).
     monte-carlo:  1 / mean(J_theta^equ) over circular gain draws, validating
-                  the closed-form expectation algebra.
+                  the closed-form expectation algebra; it needs an explicit seed.
     """
     if t < 1:
         raise ValueError(f"need T >= 1, got {t}")
@@ -176,10 +176,13 @@ def _monte_carlo(per_draw, dist: GainDistribution, trials: int, t: int, seed):
     Each chunk of about ``_CHUNK_ELEMENTS`` gains draws its own (rows, 2, T)
     normals, so the stream is that of one (trials, 2, T) draw at any chunk size.
     Returns (kept, mean, stderr of the mean, discard rate); more than
-    MAX_DISCARD_RATE discarded trials raise.
+    MAX_DISCARD_RATE discarded trials raise, and so does seed=None, which would
+    draw from OS entropy.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 Monte Carlo trials, got {trials}")
+    if seed is None:
+        raise ValueError("a Monte Carlo bound needs an explicit seed, got None")
     rng = np.random.default_rng(seed)
     values = np.empty(trials)
     valid = np.empty(trials, dtype=bool)

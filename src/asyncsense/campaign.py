@@ -100,9 +100,8 @@ def resolve_h_s(cfg: CampaignConfig) -> np.ndarray:
     """Campaign-level static channel: fixed vector or one seeded draw per campaign."""
     if cfg.h_s.mode == "fixed":
         return np.array(cfg.h_s.re) + 1j * np.array(cfg.h_s.im)
-    rng = np.random.default_rng(_stream(cfg.seed, 1, 0))
-    scale = np.sqrt(cfg.h_s.power / 2.0)
-    return scale * (rng.standard_normal(cfg.m) + 1j * rng.standard_normal(cfg.m))
+    z = np.random.default_rng(_stream(cfg.seed, 1, 0)).standard_normal((2, cfg.m))
+    return gains_from_normals(z, GainDistribution(cfg.h_s.power))
 
 
 def _trial_draws(cfg: CampaignConfig, point: int, trials: range):
@@ -122,12 +121,28 @@ def _trial_draws(cfg: CampaignConfig, point: int, trials: range):
     return d, phi, z[:, 3 * t:].reshape(-1, 2, m, t)
 
 
+def check_grating_lobe(spacing: float, theta: float, name: str):
+    """Raise ConfigError if the angle `name` = theta has a grating-lobe alias in (-pi/2, pi/2).
+
+    a(theta') = a(theta) whenever sin(theta') = sin(theta) + k / spacing for an
+    integer k != 0, so MUSIC cannot tell theta' from theta.  The nearest alias
+    lies inside (-pi/2, pi/2) exactly when spacing > 1 / (1 + |sin(theta)|).
+    """
+    s = math.sin(theta)
+    alias = s - math.copysign(1.0 / spacing, s)
+    if abs(alias) < 1.0:
+        raise ConfigError(
+            f"field 'spacing': {spacing:g} puts a grating-lobe alias of {name}="
+            f"{theta:g} at {math.asin(alias):.3f} rad, which the MUSIC estimator "
+            f"cannot tell apart (it needs spacing <= 1 / (1 + |sin {name}|) = "
+            f"{1.0 / (1.0 + abs(s)):.6g})"
+        )
+
+
 def check_estimator_inputs(cfg: CampaignConfig):
     """Raise ConfigError on an input the estimator would silently get wrong.
 
-    Grating lobes: a(theta') = a(theta_d) whenever sin(theta') = sin(theta_d) + k / spacing
-    for an integer k != 0, so MUSIC cannot tell theta' from theta_d.  The nearest
-    alias lies inside (-pi/2, pi/2) exactly when spacing > 1 / (1 + |sin(theta_d)|).
+    Grating lobes: theta_d must pass check_grating_lobe.
 
     Phase wraps: the phase walk steps are N(0, phi_walk_std^2), and unwrapping slips
     by 2 pi where a true step passes pi.  By the union bound over the T - 1 steps a
@@ -136,15 +151,7 @@ def check_estimator_inputs(cfg: CampaignConfig):
 
     The bounds are local and still hold for either input; only the estimator fails.
     """
-    s = math.sin(cfg.theta_d)
-    alias = s - math.copysign(1.0 / cfg.spacing, s)
-    if abs(alias) < 1.0:
-        raise ConfigError(
-            f"field 'spacing': {cfg.spacing:g} puts a grating-lobe alias of theta_d="
-            f"{cfg.theta_d:g} at {math.asin(alias):.3f} rad, which the MUSIC estimator "
-            f"cannot tell apart (it needs spacing <= 1 / (1 + |sin theta_d|) = "
-            f"{1.0 / (1.0 + abs(s)):.6g})"
-        )
+    check_grating_lobe(cfg.spacing, cfg.theta_d, "theta_d")
     wrap = (cfg.t - 1) * math.erfc(math.pi / (cfg.phi_walk_std * math.sqrt(2.0)))
     if wrap > PHASE_WRAP_LIMIT:
         raise ConfigError(

@@ -119,6 +119,8 @@ def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
     csi = read_csi_csv(args.csi) if args.csi else camp.estimate_input(cfg)
     est = run_estimator(csi, ArrayGeometry(cfg.m, cfg.spacing), cfg.grid_points)
+    # a --csi block comes with no theta_d, so the alias rule runs on the estimate
+    camp.check_grating_lobe(cfg.spacing, est.theta_hat, "theta_hat")
     rows = [ResultRow(None, "theta_hat", est.theta_hat, None, 1, cfg.seed)]
     rows += [ResultRow(None, f"phi_hat_{t}", v, None, 1, cfg.seed)
              for t, v in enumerate(est.phi_hat)]

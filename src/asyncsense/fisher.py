@@ -41,6 +41,9 @@ CONDITION_LIMIT = 1e12
 # n x n result, so that neither step allocates another n x n array.
 _TILE = 256
 
+# Central-difference step of fim_numeric_oracle in every parameter coordinate.
+_FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class ParamLayout:
@@ -302,7 +305,7 @@ def joint_fim(geom: ArrayGeometry, params: ScenarioParams) -> FimMatrix:
     return FimMatrix(j, lay)
 
 
-def fim_numeric_oracle(geom: ArrayGeometry, params: ScenarioParams, step: float = 1e-6) -> FimMatrix:
+def fim_numeric_oracle(geom: ArrayGeometry, params: ScenarioParams) -> FimMatrix:
     """Finite-difference FIM: no closed-form block is referenced.
 
     Textbook circular complex Gaussian FIM, (2 / complex_variance) *
@@ -320,12 +323,12 @@ def fim_numeric_oracle(geom: ArrayGeometry, params: ScenarioParams, step: float 
     diag = np.arange(lay.dim)
     means = []
     for sign in (1.0, -1.0):
-        v[diag, diag] = v0 + sign * step
+        v[diag, diag] = v0 + sign * _FD_STEP
         theta_d, h_s, d, phi_o = lay.unpack(v)
         a = steering_vector(geom, theta_d)
         means.append((h_s[:, :, None] + a[:, :, None] * d[:, None, :])
                      * np.exp(1j * phi_o)[:, None, :])
-    jac = ((means[0] - means[1]) / (2 * step)).reshape(lay.dim, m * t).T
+    jac = ((means[0] - means[1]) / (2 * _FD_STEP)).reshape(lay.dim, m * t).T
 
     complex_var = 2.0 * params.sigma2
     data = (2.0 / complex_var) * np.real(jac.conj().T @ jac)

@@ -20,18 +20,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class ReferenceSignal:
-    """Stack of per-subcarrier training matrices, shape (K, M_T, N), rows orthonormal."""
-
-    x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=complex))
-        if self.x.ndim != 3:
-            raise ValueError("reference signal must have shape (K, M_T, N)")
-
-
-@dataclass(frozen=True)
 class SufficiencyReport:
     """Raw-vs-CSI matched-estimator comparison; lossless CSI predicts ratio ~ 1."""
 
@@ -41,15 +29,16 @@ class SufficiencyReport:
     trials: int
 
 
-def make_reference_signal(m_t: int, n: int, k: int, seed) -> ReferenceSignal:
-    """Draw K random semi-unitary training matrices (orthonormal rows, via QR)."""
+def make_reference_signal(m_t: int, n: int, k: int, seed) -> np.ndarray:
+    """K random semi-unitary training matrices (orthonormal rows, via QR) as one
+    C-contiguous complex stack of shape (K, M_T, N)."""
     if n < m_t:
         raise ValueError(f"need N >= M_T, got N={n}, M_T={m_t}")
     if k < 1:
         raise ValueError(f"subcarrier count must be >= 1, got {k}")
     z = np.random.default_rng(seed).standard_normal((k, 2, n, m_t))
     q, _ = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
-    return ReferenceSignal(np.ascontiguousarray(q.conj().swapaxes(1, 2)))
+    return np.ascontiguousarray(q.conj().swapaxes(1, 2))
 
 
 def simulate_received(h_k: np.ndarray, x_k: np.ndarray, sigma2: float, seed) -> np.ndarray:
@@ -88,12 +77,12 @@ def sufficiency_check(m_r: int, m_t: int, n: int, k: int, sigma2: float,
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials for a stable ratio, got {trials}")
     rng = np.random.default_rng(seed)
-    ref = make_reference_signal(m_t, n, k, rng)
+    x = make_reference_signal(m_t, n, k, rng)
     h_dir = rng.standard_normal((k, m_r, m_t)) + 1j * rng.standard_normal((k, m_r, m_t))
     h_dir /= np.sqrt(np.sum(np.abs(h_dir) ** 2))
     s_true = 1.0
 
-    hx = h_dir @ ref.x                                   # (K, M_R, N)
+    hx = h_dir @ x                                       # (K, M_R, N)
     e_raw = np.sum(np.abs(hx) ** 2)                      # equals |H_dir|^2 for semi-unitary X
     e_csi = np.sum(np.abs(h_dir) ** 2)
 
@@ -105,7 +94,7 @@ def sufficiency_check(m_r: int, m_t: int, n: int, k: int, sigma2: float,
     # matched/ML estimate straight from the raw received block
     s_raw = np.real(np.sum(hx.conj()[None] * y, axis=(1, 2, 3))) / e_raw
     # matched/ML estimate from the LS CSI, computed through its own route
-    h_hat = ls_estimate(y, ref.x)                        # (trials, K, M_R, M_T)
+    h_hat = ls_estimate(y, x)                            # (trials, K, M_R, M_T)
     s_csi = np.real(np.sum(h_dir.conj()[None] * h_hat, axis=(1, 2, 3))) / e_csi
 
     mse_raw = float(np.mean((s_raw - s_true) ** 2))

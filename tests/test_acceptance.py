@@ -122,12 +122,12 @@ def test_criterion_7_estimator_vs_bounds():
 def test_criterion_8_sufficiency():
     # whiteness of the LS estimation noise
     m_r, m_t, n, k, sigma2, trials = 2, 2, 4, 2, 1.0, 10 ** 4
-    ref = make_reference_signal(m_t, n, k, seed=1008)
+    x = make_reference_signal(m_t, n, k, seed=1008)
     rng = np.random.default_rng(1009)
     noise = np.sqrt(sigma2 / 2) * (
         rng.standard_normal((trials, k, m_r, n)) + 1j * rng.standard_normal((trials, k, m_r, n))
     )
-    h_hat = noise @ np.swapaxes(ref.x.conj(), 1, 2)[None]
+    h_hat = noise @ np.swapaxes(x.conj(), 1, 2)[None]
     vec = h_hat.reshape(trials, -1)
     cov = vec.conj().T @ vec / trials
     diag = np.diag(cov).real

@@ -260,4 +260,4 @@ def test_csi_block_shape():
     with pytest.raises(ValueError):
         CsiBlock(np.zeros(3))
     blk = CsiBlock(np.zeros((3, 5)))
-    assert blk.m == 3 and blk.t == 5
+    assert blk.data.shape == (3, 5) and blk.data.dtype == complex

@@ -296,6 +296,18 @@ def test_finite_t_is_seed_deterministic_and_reports_stderr():
     assert a.discard_rate <= 1e-3
 
 
+def test_monte_carlo_bounds_refuse_a_missing_seed():
+    # seed=None would draw from OS entropy, so the bound would not reproduce
+    geom = ArrayGeometry(4)
+    h_s = np.array([1, -1, 1, -1], dtype=complex)
+    dist = GainDistribution(1.0)
+    with pytest.raises(ValueError, match="explicit seed"):
+        hrcrb_theta(geom, 0.0, h_s, 1.0, 4, dist, mode="monte-carlo", trials=500)
+    with pytest.raises(ValueError, match="explicit seed"):
+        finite_t_hrcrb_cgs(geom, 0.0, h_s, 1.0, 4, dist, trials=500, seed=None)
+    assert hrcrb_theta(geom, 0.0, h_s, 1.0, 4, dist).method == "closed-form"
+
+
 def test_finite_t_decreases_toward_asymptote(reference_scenario):
     geom, theta, h_s, sigma2, p_d = reference_scenario
     dist = GainDistribution(p_d)

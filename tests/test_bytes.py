@@ -50,10 +50,13 @@ def test_cli_outputs_match_the_manifest(tmp_path, capsys):
     assert main(["fim", "--config", scenario, "--out", str(tmp_path / "fim.csv")]) == 0
     assert main(["estimate", "--config", scenario, "--out", str(tmp_path / "estimate.csv")]) == 0
     capsys.readouterr()
-    assert main(["verify", "--trials", "2000", "--seed", "5"]) == 0
     got = {name: _digest(tmp_path / name)
            for name in ("bounds.csv", "fim.csv", "fim.crb.csv", "estimate.csv")}
-    got["verify.stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    # the desk-scale run, and the scale of the acceptance tests and the benchmark
+    for name, trials, seed in (("verify.stdout", "2000", "5"),
+                               ("verify-10000.stdout", "10000", "0")):
+        assert main(["verify", "--trials", trials, "--seed", seed]) == 0
+        got[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     want = _manifest()
     assert {name: want[name] for name in got} == got
 

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -268,6 +269,36 @@ def test_grating_lobe_alias_exit_1(tmp_path, capsys):
     for command in ("bounds", "fim"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / "y.csv")]) == 0
     capsys.readouterr()
+
+
+def test_estimate_csi_refuses_a_grating_lobe_alias(tmp_path, capsys):
+    # a --csi block has no theta_d, so the alias rule runs on theta_hat: at spacing 0.9
+    # the angles 0.35 and -0.877 share one steering vector, and 0.05 has no alias
+    from asyncsense import (ArrayGeometry, GainDistribution, ScenarioParams,
+                            draw_dynamic_gains, synthesize_csi, write_csi_csv)
+    cfg = {"m": 6, "t": 32, "snr_db": [10.0], "trials": 5, "seed": 3, "grid_points": 512,
+           "spacing": 0.9}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    geom = ArrayGeometry(6, 0.9)
+    rng = np.random.default_rng(2)
+    h_s = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    d = draw_dynamic_gains(32, GainDistribution(1.0), rng, constrained=True)
+    phi = rng.normal(0, 0.4, 32).cumsum()
+    phi -= phi.mean()
+    for theta, code in ((0.35, 1), (0.05, 0)):
+        csi = tmp_path / f"csi_{theta}.csv"
+        write_csi_csv(synthesize_csi(geom, ScenarioParams(theta, h_s, d, phi, 0.1), rng),
+                      str(csi))
+        assert main(["estimate", "--config", str(path), "--csi", str(csi)]) == code
+        err = capsys.readouterr().err
+        assert (tmp_path / "estimate.csv").exists() == (code == 0)
+        if code:
+            named = re.search(r"config error: field 'spacing': 0\.9 puts a grating-lobe alias "
+                              r"of theta_hat=(\S+) at (\S+) rad", err)
+            assert named, err
+            theta_hat, alias = map(float, named.groups())
+            assert abs(theta_hat - 0.35) < 0.01 and abs(alias + 0.877) < 0.01
 
 
 def test_wrapping_phase_walk_exit_1(tmp_path, capsys):

@@ -104,7 +104,7 @@ def test_joint_fim_matches_numeric_oracle_random_scenarios():
 def test_numeric_oracle_equals_one_step_at_a_time():
     # the batched central differences against a loop over single steps, bit for bit
     rng = np.random.default_rng(8)
-    step = 1e-6
+    step = fisher_mod._FD_STEP
     for _ in range(20):
         geom, params = random_scenario(rng, m_range=(2, 8), t_range=(2, 12))
         lay = ParamLayout(params.m, params.t)
@@ -122,7 +122,7 @@ def test_numeric_oracle_equals_one_step_at_a_time():
             vm[i] -= step
             jac[:, i] = (mean(vp) - mean(vm)) / (2 * step)
         want = (2.0 / (2.0 * params.sigma2)) * np.real(jac.conj().T @ jac)
-        np.testing.assert_array_equal(fim_numeric_oracle(geom, params, step).data, want)
+        np.testing.assert_array_equal(fim_numeric_oracle(geom, params).data, want)
 
 
 def test_numeric_oracle_uses_no_closed_form(monkeypatch):
