@@ -5,9 +5,8 @@ from .array_model import (ArrayGeometry, CsiBlock, GainDistribution, ScenarioPar
                           draw_dynamic_gains, steering_vector, synthesize_csi)
 from .bounds import (BoundReport, ChainCheckReport, ahrcrb_cgs, finite_t_hrcrb_cgs,
                      hrcrb_theta, rho_theta, verify_hrcrb_chain)
-from .campaign import (CampaignResult, TrialResult, run_campaign, run_verification,
-                       sigma2_from_snr_db)
-from .config import CampaignConfig, HsSpec, emit_config, parse_config
+from .campaign import CampaignResult, TrialResult, run_campaign, run_verification
+from .config import CampaignConfig, HsSpec, emit_config, parse_config, sigma2_from_snr_db
 from .csvio import ResultRow, emit_csv, parse_results_csv, read_csi_csv, write_csi_csv, \
     write_matrix_csv
 from .estimator import (EstimateResult, MusicDiagnostics, beamspace_basis, estimate_cgs,

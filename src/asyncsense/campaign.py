@@ -11,13 +11,15 @@ existing streams):
     SeedSequence(master, spawn_key=(5, 0))             noise of the block estimate_input synthesizes
 
 Estimator trials run in chunks of CHUNK_TRIALS stacked blocks, on the calling
-thread and CHUNK_HELPERS helper threads.  Each trial draws from its own stream
+thread and CHUNK_HELPERS helper threads, through MUSIC on the one angle grid of
+estimator.GRID_POINTS.  Each trial draws from its own stream
 in its own order, the stacked arithmetic is per trial, and reductions over
 trials run in trial order through math.fsum, so the CSV is byte-stable for a
 given (config, seed) whatever the chunk size and the helper count.
 
 SNR convention: SNR_dB = 10 log10(p_d * M / sigma2), the dynamic-path array
-SNR (|a|^2 = M), with sigma2 the per-real-component noise variance.
+SNR (|a|^2 = M), with sigma2 the per-real-component noise variance.  The config
+refuses an SNR whose sigma2 is not a finite positive float.
 """
 
 import math
@@ -32,7 +34,7 @@ from .array_model import (ArrayGeometry, CsiBlock, GainDistribution, ScenarioPar
                           _steering_pair, gains_from_normals, synthesize_batch, synthesize_csi)
 from .bounds import (_separated_h_s, ahrcrb_cgs, finite_t_hrcrb_cgs, hrcrb_theta, rho_theta,
                      verify_hrcrb_chain)
-from .config import CampaignConfig
+from .config import CampaignConfig, sigma2_from_snr_db
 from .csvio import ResultRow
 from .estimator import estimate_batch
 from .exceptions import ConfigError
@@ -85,11 +87,6 @@ class VerifyCheck:
 class CampaignResult:
     rows: tuple
     trial_results: dict = None
-
-
-def sigma2_from_snr_db(snr_db: float, p_d: float, m: int) -> float:
-    """Invert SNR_dB = 10 log10(p_d * M / sigma2)."""
-    return p_d * m / 10.0 ** (snr_db / 10.0)
 
 
 def _stream(master: int, *key: int) -> np.random.SeedSequence:
@@ -181,7 +178,7 @@ def _run_chunk(cfg: CampaignConfig, h_s: np.ndarray, point: int, trials: range) 
     sigma2 = sigma2_from_snr_db(cfg.snr_db[point], cfg.p_d, cfg.m)
     d, phi, noise = _trial_draws(cfg, point, trials)
     csi = synthesize_batch(geom, cfg.theta_d, h_s, d, phi, sigma2, noise)
-    est = estimate_batch(csi, geom, cfg.grid_points)
+    est = estimate_batch(csi, geom)
     theta_sq = (est.theta_hat - cfg.theta_d) ** 2
     d_mse = np.mean(np.abs(est.d_hat - d) ** 2, axis=1)
     # phase error blind to 2 pi slips and to a common rotation: wrapped to within
@@ -204,6 +201,10 @@ def _run_chunks(chunks: list) -> list:
     chunk that raised is re-raised: every chunk below it was claimed before it,
     so which error surfaces does not depend on timing.
     """
+    # The calling thread claims chunks too, rather than waiting on a pool of
+    # CHUNK_HELPERS + 1 threads.  ThreadPoolExecutor.map in its place (6 pairs of
+    # 20 s `campaign` benchmark runs, 2 CPUs) added a malloc arena, raising peak
+    # RSS from about 67 to 72-73 MB, and ran about 3% fewer trials per second.
     results = [None] * len(chunks)
     errors = {}
     lock = threading.Lock()
@@ -415,11 +416,9 @@ def check_constraint_basis() -> VerifyCheck:
                        max(worst, hand), 1e-12)
 
 
-def check_hrcrb_chain(m: int, t: int, p_d: float, trials: int, seed,
-                      spacing: float = 0.5) -> tuple:
-    """Floor and Jensen orderings, and the Schur identity, of the HRCRB chain."""
-    geom = ArrayGeometry(m, spacing)
-    report = verify_hrcrb_chain(geom, t, GainDistribution(p_d), sigma2=1.0,
+def check_hrcrb_chain(trials: int, seed) -> tuple:
+    """Floor and Jensen orderings, and the Schur identity, of the HRCRB chain at M=T=4, p_d=1."""
+    report = verify_hrcrb_chain(ArrayGeometry(4), 4, GainDistribution(1.0), sigma2=1.0,
                                 trials=trials, seed=seed,
                                 scenarios=max(2, min(20, trials // 100)))
     order_worst = max(report.max_floor_violation, report.max_jensen_violation)
@@ -428,8 +427,7 @@ def check_hrcrb_chain(m: int, t: int, p_d: float, trials: int, seed,
             VerifyCheck("chain_schur_identity", schur_worst < 1e-9, schur_worst, 1e-9))
 
 
-def run_verification(m: int = 4, t: int = 4, p_d: float = 1.0, trials: int = 2000,
-                     seed: int = 0, spacing: float = 0.5) -> tuple:
+def run_verification(trials: int = 2000, seed: int = 0) -> tuple:
     """Every property check's VerifyCheck; trials=10**4 gives the acceptance tests' counts."""
     sub = _stream(seed, 4, 0).spawn(3)
     return (
@@ -437,5 +435,5 @@ def run_verification(m: int = 4, t: int = 4, p_d: float = 1.0, trials: int = 200
         check_fim_oracle(max(5, trials // 200), sub[1]),
         check_schur_consistency(max(10, trials // 100), sub[2]),
         check_constraint_basis(),
-        *check_hrcrb_chain(m, t, p_d, trials, _stream(seed, 4, 1), spacing=spacing),
+        *check_hrcrb_chain(trials, _stream(seed, 4, 1)),
     )

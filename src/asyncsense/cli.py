@@ -38,13 +38,9 @@ def _build_parser() -> _Parser:
                      description="Bounds and reference estimation for asynchronous passive sensing")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="campaign config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
-
     def writer(name, text, handler, out):
         p = sub.add_parser(name, help=text)
-        common(p)
+        p.add_argument("--config", required=True, help="campaign config JSON")
         p.add_argument("--out", default=out, help="output CSV path (default: %(default)s)")
         p.set_defaults(handler=handler)
         return p
@@ -58,8 +54,8 @@ def _build_parser() -> _Parser:
                        help="CSI CSV (M rows x 2T interleaved re,im); synthesized when omitted")
     writer("montecarlo", "full bound-vs-MSE campaign", _cmd_campaign, "campaign.csv")
     p_ver = sub.add_parser("verify", help="run the numerical property suites")
-    common(p_ver, config_required=False)
     p_ver.add_argument("--trials", type=int, default=2000)
+    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(handler=_cmd_verify)
     return parser
 
@@ -79,8 +75,6 @@ def _check_outputs(args):
 
 def _load_config(args) -> CampaignConfig:
     cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     sys.stderr.write("# effective config:\n")
     for line in config_to_json(cfg).splitlines():
         sys.stderr.write(f"# {line}\n")
@@ -118,7 +112,7 @@ def _cmd_campaign(args) -> int:
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
     csi = read_csi_csv(args.csi) if args.csi else camp.estimate_input(cfg)
-    est = run_estimator(csi, ArrayGeometry(cfg.m, cfg.spacing), cfg.grid_points)
+    est = run_estimator(csi, ArrayGeometry(cfg.m, cfg.spacing))
     # a --csi block comes with no theta_d, so the alias rule runs on the estimate
     camp.check_grating_lobe(cfg.spacing, est.theta_hat, "theta_hat")
     rows = [ResultRow(None, "theta_hat", est.theta_hat, None, 1, cfg.seed)]
@@ -134,13 +128,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """The property checks; --config supplies m, min(t, 8), p_d, spacing and seed."""
-    if args.config:
-        cfg = _load_config(args)
-        checks = camp.run_verification(m=cfg.m, t=min(cfg.t, 8), p_d=cfg.p_d,
-                                       trials=args.trials, seed=cfg.seed, spacing=cfg.spacing)
-    else:
-        checks = camp.run_verification(trials=args.trials, seed=args.seed or 0)
+    checks = camp.run_verification(args.trials, args.seed)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status}  {c.name:<24} worst={c.worst:.3e}  threshold={c.threshold:.1e}")

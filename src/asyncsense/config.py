@@ -6,11 +6,17 @@ import numbers
 import sys
 from dataclasses import dataclass, field, asdict
 
-from .estimator import GRID_POINTS, MIN_GRID_POINTS
 from .exceptions import ConfigError
 
 MODES = ("bounds-only", "estimator")
-H_S_MODES = ("random", "fixed")
+# each h_s mode's keys besides "mode"
+H_S_KEYS = {"random": {"power"}, "fixed": {"re", "im"}}
+H_S_MODES = tuple(H_S_KEYS)
+
+
+def sigma2_from_snr_db(snr_db: float, p_d: float, m: int) -> float:
+    """Invert SNR_dB = 10 log10(p_d * M / sigma2)."""
+    return p_d * m / 10.0 ** (snr_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,6 @@ class CampaignConfig:
     finite_t: bool = False
     finite_t_trials: int = 2000
     mc_bound_trials: int = 20000
-    grid_points: int = GRID_POINTS
     phi_walk_std: float = 0.5
 
     def __post_init__(self):
@@ -61,7 +66,6 @@ class CampaignConfig:
         _check_int(self.m, "m", minimum=2)
         _check_int(self.t, "t", minimum=2)
         _check_int(self.trials, "trials", minimum=1)
-        _check_int(self.grid_points, "grid_points", minimum=MIN_GRID_POINTS)
         _check_int(self.finite_t_trials, "finite_t_trials", minimum=2)
         _check_int(self.mc_bound_trials, "mc_bound_trials", minimum=2)
         _check_int(self.seed, "seed", minimum=0)
@@ -70,6 +74,15 @@ class CampaignConfig:
             raise ConfigError("field 'snr_db': must be a non-empty list")
         for name in ("spacing", "p_d", "phi_walk_std"):
             _check_positive(getattr(self, name), name)
+        for snr in self.snr_db:
+            try:
+                sigma2 = sigma2_from_snr_db(snr, self.p_d, self.m)
+            except ArithmeticError:     # 10^(snr/10) overflows or underflows to 0
+                sigma2 = math.nan
+            if not 0.0 < sigma2 < math.inf:
+                raise ConfigError(
+                    f"field 'snr_db': {snr:g} dB gives no finite positive noise variance "
+                    f"sigma2 = p_d * m / 10^(snr_db / 10) (p_d={self.p_d:g}, m={self.m})")
         if not (_is_number(self.theta_d) and abs(self.theta_d) < math.pi / 2):
             raise ConfigError(f"field 'theta_d': must lie in (-pi/2, pi/2), got {self.theta_d!r}")
         if self.mode not in MODES:
@@ -139,11 +152,14 @@ def _from_dict(raw: dict) -> CampaignConfig:
         h = kwargs["h_s"]
         if not isinstance(h, dict):
             raise ConfigError("field 'h_s': must be an object")
-        h_known = {"mode", "power", "re", "im"}
-        h_unknown = set(h) - h_known
+        h_unknown = set(h) - {"mode"}.union(*H_S_KEYS.values())
         if h_unknown:
             raise ConfigError(f"unknown field(s) in 'h_s': {', '.join(sorted(h_unknown))}")
         kwargs["h_s"] = HsSpec(**h)
+        misplaced = set(h) - {"mode", *H_S_KEYS[kwargs["h_s"].mode]}
+        if misplaced:
+            raise ConfigError(f"field 'h_s': mode {kwargs['h_s'].mode!r} does not use "
+                              f"{', '.join(sorted(misplaced))}")
     return CampaignConfig(**kwargs)
 
 

@@ -3,7 +3,8 @@
 Six stages applied to one CSI block H (M x T):
 
 1. AoA by spectral MUSIC on the sample covariance H H^H / T (two-dimensional
-   signal subspace: static channel plus dynamic steering vector).
+   signal subspace: static channel plus dynamic steering vector), scanned over
+   one fixed grid of GRID_POINTS cell-centre angles and refined off it.
 2. Beamspace split: A = a(theta_hat)/|a(theta_hat)|, B = orthonormal basis of
    its nullspace (the last M-1 columns of the Householder reflector that maps
    A to -e_0).
@@ -55,10 +56,8 @@ _DEGENERATE_MESSAGE = ("nullspace projection carries no static-path energy "
 
 _TINY = np.finfo(float).tiny
 
-# The MUSIC angle grid's size: the reference campaign's default, and the
-# fewest points accepted.
+# The MUSIC angle grid's size.
 GRID_POINTS = 2048
-MIN_GRID_POINTS = 64
 
 # Grid columns per tile of MUSIC's noise projection: the (n, 2(M-2), tile)
 # product stays well under a MB per 32-block chunk, where the whole grid's
@@ -120,11 +119,11 @@ class BatchEstimate:
 
 
 @functools.lru_cache(maxsize=8)
-def _aoa_grid(m: int, spacing: float, grid_points: int):
+def _aoa_grid(m: int, spacing: float):
     """Cell-centre angle grid on (-pi/2, pi/2), its steering vectors (grid, M) and
     their real parts stacked on their imaginary parts as columns (2M x grid); read-only."""
-    step = np.pi / grid_points
-    grid = -np.pi / 2 + (np.arange(grid_points) + 0.5) * step
+    step = np.pi / GRID_POINTS
+    grid = -np.pi / 2 + (np.arange(GRID_POINTS) + 0.5) * step
     manifold = steering_vector(ArrayGeometry(m, spacing), grid)
     # C order: MUSIC's stacked matmul runs about twice as slow on the F-ordered concatenation
     stacked = np.ascontiguousarray(np.concatenate([manifold.real.T, manifold.imag.T]))
@@ -200,11 +199,9 @@ def _refine_peaks(grid: np.ndarray, spectrum: np.ndarray, best: np.ndarray):
     return theta, refined
 
 
-def _music(h: np.ndarray, geom: ArrayGeometry, grid_points: int):
+def _music(h: np.ndarray, geom: ArrayGeometry):
     """MUSIC on a stack of blocks; returns (theta_hat (n,), MusicDiagnostics)."""
     n, m, t = h.shape
-    if grid_points < MIN_GRID_POINTS:
-        raise ValueError(f"grid_points must be >= {MIN_GRID_POINTS}, got {grid_points}")
     if m != geom.m:
         raise ValueError(f"CSI has {m} rows but geometry says m={geom.m}")
     if m <= _SOURCES:
@@ -219,7 +216,7 @@ def _music(h: np.ndarray, geom: ArrayGeometry, grid_points: int):
     with np.errstate(over="ignore"):
         gap_ratio = eigval[:, noise_dim:].mean(axis=1) / noise_floor
 
-    grid, manifold, stacked = _aoa_grid(geom.m, geom.spacing, grid_points)
+    grid, manifold, stacked = _aoa_grid(geom.m, geom.spacing)
     # |E_n^H a|^2 in real arithmetic: with E_n^H = P + jQ and a = C + jS,
     # [P -Q; Q P] [C; S] stacks Re and Im of E_n^H a.  The noise-subspace form
     # squares a small number at the peak, so the noiseless pole stays a pole;
@@ -227,8 +224,8 @@ def _music(h: np.ndarray, geom: ArrayGeometry, grid_points: int):
     e_h = _hermitian(eigvec[:, :, :noise_dim])
     w = np.concatenate([np.concatenate([e_h.real, -e_h.imag], axis=2),
                         np.concatenate([e_h.imag, e_h.real], axis=2)], axis=1)
-    power = np.empty((n, grid_points))
-    for lo in range(0, grid_points, _GRID_TILE):
+    power = np.empty((n, GRID_POINTS))
+    for lo in range(0, GRID_POINTS, _GRID_TILE):
         z = w @ stacked[:, lo:lo + _GRID_TILE]
         np.einsum("nkg,nkg->ng", z, z, out=power[:, lo:lo + _GRID_TILE])
     spectrum = 1.0 / np.maximum(power, _TINY)
@@ -284,8 +281,8 @@ def _stage(name: str, fn, *args):
         raise EstimationStageError(name, err) from err
 
 
-def _estimate_stack(h: np.ndarray, geom: ArrayGeometry, grid_points: int) -> BatchEstimate:
-    theta_hat, diags = _stage("music", _music, h, geom, grid_points)
+def _estimate_stack(h: np.ndarray, geom: ArrayGeometry) -> BatchEstimate:
+    theta_hat, diags = _stage("music", _music, h, geom)
     a_unit, b = _stage("beamspace", _beamspace, theta_hat, geom)
     phi_hat, degenerate = _stage("phase", _phase_offsets, h, b)
     d_hat = _stage("cgs", _gains, h, a_unit, phi_hat)
@@ -297,8 +294,7 @@ def _estimate_stack(h: np.ndarray, geom: ArrayGeometry, grid_points: int) -> Bat
     return BatchEstimate(theta_hat, phi_hat, d_hat, diags, tuple(errors))
 
 
-def estimate_batch(h: np.ndarray, geom: ArrayGeometry,
-                   grid_points: int = GRID_POINTS) -> BatchEstimate:
+def estimate_batch(h: np.ndarray, geom: ArrayGeometry) -> BatchEstimate:
     """Run the pipeline on a stack of CSI blocks, shape (n, M, T).
 
     A failure in one block is reported on its own row and leaves the other
@@ -311,10 +307,10 @@ def estimate_batch(h: np.ndarray, geom: ArrayGeometry,
     if h.ndim != 3:
         raise ValueError("CSI stack must be 3-D (blocks x antennas x snapshots)")
     try:
-        return _estimate_stack(h, geom, grid_points)
+        return _estimate_stack(h, geom)
     except EstimationStageError as err:
         if len(h) > 1:
-            parts = [estimate_batch(h[k:k + 1], geom, grid_points) for k in range(len(h))]
+            parts = [estimate_batch(h[k:k + 1], geom) for k in range(len(h))]
             diags = MusicDiagnostics(*(np.concatenate([getattr(p.diagnostics, f.name)
                                                            for p in parts])
                                        for f in fields(MusicDiagnostics)))
@@ -331,9 +327,9 @@ def _stack_of_one(csi: CsiBlock) -> np.ndarray:
     return np.ascontiguousarray(csi.data[None])
 
 
-def music_aoa(csi: CsiBlock, geom: ArrayGeometry, grid_points: int = GRID_POINTS):
+def music_aoa(csi: CsiBlock, geom: ArrayGeometry):
     """MUSIC AoA estimate with peak disambiguation; returns (theta_hat, diagnostics)."""
-    theta_hat, diag = _music(_stack_of_one(csi), geom, grid_points)
+    theta_hat, diag = _music(_stack_of_one(csi), geom)
     return float(theta_hat[0]), diag[0]
 
 
@@ -366,10 +362,9 @@ def estimate_cgs(csi: CsiBlock, a_unit: np.ndarray, phi_hat: np.ndarray) -> np.n
                   np.asarray(phi_hat, dtype=float)[None])[0]
 
 
-def run_estimator(csi: CsiBlock, geom: ArrayGeometry,
-                  grid_points: int = GRID_POINTS) -> EstimateResult:
+def run_estimator(csi: CsiBlock, geom: ArrayGeometry) -> EstimateResult:
     """Full pipeline; numerical failures are re-raised tagged with their stage."""
-    est = estimate_batch(_stack_of_one(csi), geom, grid_points)
+    est = estimate_batch(_stack_of_one(csi), geom)
     err = est.errors[0]
     if err is not None:
         raise err from err.original

@@ -53,7 +53,7 @@ def test_criterion_4_constraint_basis():
 
 def test_criterion_5_hrcrb_chain():
     # M=4, T=4, 10**4 draws over 20 scenarios
-    orderings, schur = campaign_mod.check_hrcrb_chain(4, 4, 1.0, 10 ** 4, 1005)
+    orderings, schur = campaign_mod.check_hrcrb_chain(10 ** 4, 1005)
     _report(5, "HRCRB inequality chain", orderings.passed and schur.passed,
             f"orderings {orderings.worst:.2e}, schur {schur.worst:.2e}")
 

@@ -9,7 +9,8 @@ from asyncsense import (ArrayGeometry, CampaignConfig, CsiBlock, GainDistributio
                         ScenarioParams, draw_dynamic_gains, steering_vector, synthesize_csi)
 from asyncsense.array_model import _steering_pair, gains_from_normals, synthesize_batch
 from asyncsense.campaign import _trial_draws, resolve_h_s, sigma2_from_snr_db
-from asyncsense.estimator import _aoa_grid, _beamspace, _gains, _phase_offsets, estimate_batch
+from asyncsense.estimator import (GRID_POINTS, _aoa_grid, _beamspace, _gains, _phase_offsets,
+                                 estimate_batch)
 
 
 def test_geometry_validation():
@@ -59,9 +60,10 @@ def test_steering_norm_is_m(m, theta):
 def test_estimator_manifold_is_steering_vector():
     # MUSIC's scan grid and the beamspace split read the one steering-vector
     # implementation, bit for bit, batched or one angle at a time
-    for m, spacing, points in ((8, 0.5, 2048), (5, 0.3, 64), (3, 0.7, 100)):
+    points = GRID_POINTS
+    for m, spacing in ((8, 0.5), (5, 0.3), (3, 0.7)):
         geom = ArrayGeometry(m, spacing)
-        grid, manifold, stacked = _aoa_grid(m, spacing, points)
+        grid, manifold, stacked = _aoa_grid(m, spacing)
         assert manifold.shape == (points, m) and stacked.shape == (2 * m, points)
         np.testing.assert_array_equal(manifold, steering_vector(geom, grid))
         np.testing.assert_array_equal(stacked[:m], manifold.real.T)
@@ -110,7 +112,7 @@ def _assert_zero_sum(d, phi=None):
 def test_zero_sum_constraints_hold_where_enforced():
     # the campaign's trial draws, the constrained gain draw and the estimator's
     # phase and gain estimates each remove the mean of their rows
-    cfg = CampaignConfig(m=6, t=32, snr_db=[10.0], trials=8, seed=7, grid_points=512)
+    cfg = CampaignConfig(m=6, t=32, snr_db=[10.0], trials=8, seed=7)
     d, phi, noise = _trial_draws(cfg, 0, range(8))
     _assert_zero_sum(d, phi)
     for t, seed in ((2, 0), (5, 1), (128, 2)):

@@ -22,7 +22,7 @@ def _in_tmp_path(tmp_path, monkeypatch):
 
 @pytest.fixture
 def cfg_path(tmp_path):
-    cfg = {"m": 6, "t": 32, "snr_db": [10.0], "trials": 5, "seed": 3, "grid_points": 512}
+    cfg = {"m": 6, "t": 32, "snr_db": [10.0], "trials": 5, "seed": 3}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -97,15 +97,13 @@ def test_montecarlo_command(tmp_path, cfg_path, capsys):
     assert any(r.metric == "mse_theta" for r in rows)
 
 
-def test_verify_command_default(cfg_path, capsys):
-    # the config supplies m, min(t, 8), p_d, spacing and seed
-    for extra in ([], ["--config", cfg_path]):
-        assert main(["verify", "--trials", "300"] + extra) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-        names = {line.split()[1] for line in out.splitlines() if line.startswith("PASS")}
-        assert {"rho_range", "fim_oracle", "schur_consistency", "constraint_basis",
-                "chain_orderings", "chain_schur_identity"} <= names
+def test_verify_command_default(capsys):
+    assert main(["verify", "--trials", "300"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out and "FAIL" not in out
+    names = {line.split()[1] for line in out.splitlines() if line.startswith("PASS")}
+    assert {"rho_range", "fim_oracle", "schur_consistency", "constraint_basis",
+            "chain_orderings", "chain_schur_identity"} <= names
 
 
 @pytest.mark.parametrize("trials", ["0", "1", "-5"])
@@ -115,16 +113,6 @@ def test_verify_refuses_fewer_than_two_trials(trials, capsys):
     captured = capsys.readouterr()
     assert f"argument --trials: must be at least 2, got {trials}" in captured.err
     assert captured.out == ""
-
-
-def test_seed_flag_equals_the_seed_in_the_config(tmp_path, cfg_path, capsys):
-    seeded = tmp_path / "seeded.json"
-    seeded.write_text(json.dumps({**json.loads(pathlib.Path(cfg_path).read_text()), "seed": 5}))
-    flag, key = tmp_path / "flag.csv", tmp_path / "key.csv"
-    assert main(["montecarlo", "--config", cfg_path, "--seed", "5", "--out", str(flag)]) == 0
-    assert main(["montecarlo", "--config", str(seeded), "--out", str(key)]) == 0
-    capsys.readouterr()
-    assert flag.read_bytes() == key.read_bytes()
 
 
 def test_estimate_missing_csi_file_exit_1(tmp_path, cfg_path, capsys):
@@ -201,6 +189,46 @@ def test_an_unwritable_out_fails_before_any_work(command, case, tmp_path, cfg_pa
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", ["bounds", "montecarlo"])
+@pytest.mark.parametrize("snr", ["4000", "-4000", "-3100"])
+def test_an_snr_without_a_finite_positive_sigma2_exits_1(command, snr, tmp_path, capsys,
+                                                         nothing_computed):
+    path = tmp_path / "snr.json"
+    path.write_text(json.dumps({"m": 4, "t": 8, "snr_db": [10.0, float(snr)], "trials": 2}))
+    assert main([command, "--config", str(path)]) == 1
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and lines[0].startswith(f"config error: field 'snr_db': {snr} dB")
+
+
+def test_settings_are_pinned_and_removed_ones_fail_loudly(tmp_path, cfg_path, capsys):
+    # a setting can only be added, or a removed one come back, by editing these sets
+    import argparse
+    from asyncsense.cli import _build_parser
+    from asyncsense.config import CampaignConfig
+    sub = next(action for action in _build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {name: {opt for action in p._actions for opt in action.option_strings}
+               for name, p in sub.choices.items()}
+    writer = {"-h", "--help", "--config", "--out"}
+    assert options == {"fim": writer, "bounds": writer, "estimate": writer | {"--csi"},
+                       "montecarlo": writer, "verify": {"-h", "--help", "--trials", "--seed"}}
+    assert set(CampaignConfig.__dataclass_fields__) == {
+        "m", "t", "snr_db", "trials", "spacing", "p_d", "theta_d", "h_s", "seed", "mode",
+        "finite_t", "finite_t_trials", "mc_bound_trials", "phi_walk_std"}
+
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({**json.loads(pathlib.Path(cfg_path).read_text()),
+                                "grid_points": 512}))
+    for argv, named in ((["verify", "--config", cfg_path], "unrecognized arguments: --config"),
+                        (["montecarlo", "--config", cfg_path, "--seed", "5"],
+                         "unrecognized arguments: --seed 5"),
+                        (["montecarlo", "--config", str(grid)],
+                         "config error: unknown field(s): grid_points")):
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "campaign.csv").exists()
+
+
 def test_memory_error_exits_1_with_one_line(monkeypatch, cfg_path, capsys):
     # the allocation is never made: a real one could succeed under overcommit and touch pages
     import asyncsense.cli as cli_mod
@@ -258,8 +286,7 @@ def test_estimate_csi_mismatch_exit_1(tmp_path, cfg_path, capsys):
 
 def test_grating_lobe_alias_exit_1(tmp_path, capsys):
     # the estimator refuses spacing 0.9 at theta_d 0.35; the bounds accept it
-    cfg = {"m": 6, "t": 32, "snr_db": [10.0], "trials": 5, "seed": 3, "grid_points": 512,
-           "spacing": 0.9}
+    cfg = {"m": 6, "t": 32, "snr_db": [10.0], "trials": 5, "seed": 3, "spacing": 0.9}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     for command in ("montecarlo", "estimate"):
@@ -273,11 +300,11 @@ def test_grating_lobe_alias_exit_1(tmp_path, capsys):
 
 def test_estimate_csi_refuses_a_grating_lobe_alias(tmp_path, capsys):
     # a --csi block has no theta_d, so the alias rule runs on theta_hat: at spacing 0.9
-    # the angles 0.35 and -0.877 share one steering vector, and 0.05 has no alias
+    # the angles 0.35 and -0.877 share one steering vector, so MUSIC may name either
+    # and the refusal the other, and 0.05 has no alias
     from asyncsense import (ArrayGeometry, GainDistribution, ScenarioParams,
                             draw_dynamic_gains, synthesize_csi, write_csi_csv)
-    cfg = {"m": 6, "t": 32, "snr_db": [10.0], "trials": 5, "seed": 3, "grid_points": 512,
-           "spacing": 0.9}
+    cfg = {"m": 6, "t": 32, "snr_db": [10.0], "trials": 5, "seed": 3, "spacing": 0.9}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     geom = ArrayGeometry(6, 0.9)
@@ -297,14 +324,13 @@ def test_estimate_csi_refuses_a_grating_lobe_alias(tmp_path, capsys):
             named = re.search(r"config error: field 'spacing': 0\.9 puts a grating-lobe alias "
                               r"of theta_hat=(\S+) at (\S+) rad", err)
             assert named, err
-            theta_hat, alias = map(float, named.groups())
-            assert abs(theta_hat - 0.35) < 0.01 and abs(alias + 0.877) < 0.01
+            pair = sorted(map(float, named.groups()))
+            assert abs(pair[0] + 0.877) < 0.01 and abs(pair[1] - 0.35) < 0.01
 
 
 def test_wrapping_phase_walk_exit_1(tmp_path, capsys):
     # the estimator refuses phi_walk_std 1.5; the bounds accept it
-    cfg = {"m": 6, "t": 32, "snr_db": [10.0], "trials": 5, "seed": 3, "grid_points": 512,
-           "phi_walk_std": 1.5}
+    cfg = {"m": 6, "t": 32, "snr_db": [10.0], "trials": 5, "seed": 3, "phi_walk_std": 1.5}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     for command in ("montecarlo", "estimate"):

@@ -35,10 +35,11 @@ def _noiseless_block(geom, theta, h_s, d, phi):
 
 
 def test_config_validation():
+    # a block whose row count is not the geometry's antenna count
     blk = CsiBlock(np.ones((4, 8), dtype=complex))
     for run in (music_aoa, run_estimator):
-        with pytest.raises(ValueError, match="grid_points must be >= 64, got 32"):
-            run(blk, ArrayGeometry(4), grid_points=32)
+        with pytest.raises(ValueError, match="CSI has 4 rows but geometry says m=5"):
+            run(blk, ArrayGeometry(5))
 
 
 def test_music_requires_noise_subspace_and_snapshots():
@@ -421,10 +422,10 @@ def test_music_finds_a_plateau_peak_at_broadside():
     assert abs(theta_hat) < 1e-12
 
 
-@pytest.mark.parametrize("grid_points", [2048, 1000])
-def test_music_spectrum_tiles_equal_the_whole_grid_product(monkeypatch, grid_points):
+@pytest.mark.parametrize("tile", [256, 300, 1000])
+def test_music_spectrum_tiles_equal_the_whole_grid_product(monkeypatch, tile):
     # one chunk of criterion 7's campaign (M=8, T=128, 0/10/20 dB); a single tile
-    # over the whole grid is the untiled product, and 1000 leaves a partial tile
+    # over the whole grid is the untiled product, and 300 and 1000 leave a partial tile
     cfg = CampaignConfig(m=8, t=128, snr_db=[0.0, 10.0, 20.0], trials=32, seed=20240817)
     geom, h_s = ArrayGeometry(cfg.m), campaign_mod.resolve_h_s(cfg)
     spectra = []
@@ -439,10 +440,10 @@ def test_music_spectrum_tiles_equal_the_whole_grid_product(monkeypatch, grid_poi
         d, phi, noise = campaign_mod._trial_draws(cfg, point, range(cfg.trials))
         csi = synthesize_batch(geom, cfg.theta_d, h_s, d, phi,
                                sigma2_from_snr_db(snr, cfg.p_d, cfg.m), noise)
-        for tile in (256, grid_points):
-            monkeypatch.setattr(estimator_mod, "_GRID_TILE", tile)
-            estimate_batch(csi, geom, grid_points)
+        for width in (tile, GRID):
+            monkeypatch.setattr(estimator_mod, "_GRID_TILE", width)
+            estimate_batch(csi, geom)
     assert len(spectra) == 6
     for tiled, whole in zip(spectra[::2], spectra[1::2]):
-        assert tiled.shape == (cfg.trials, grid_points)
+        assert tiled.shape == (cfg.trials, GRID)
         assert tiled.tobytes() == whole.tobytes()

@@ -44,7 +44,6 @@ def test_parse_config_minimal_defaults(tmp_path):
     cfg = parse_config(str(path))
     assert cfg.spacing == 0.5 and cfg.p_d == 1.0 and cfg.mode == "estimator"
     assert cfg.h_s.mode == "random" and cfg.h_s.power == 1.0
-    assert cfg.grid_points == 2048
 
 
 def test_parse_config_rejects_unknown_keys(tmp_path):
@@ -53,9 +52,10 @@ def test_parse_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError, match="bogus_key"):
         parse_config(str(path))
     # removed fields: the worker-thread knob, the verify trial count, the
-    # output path (--out covers it) and the two-path estimator's fixed design
+    # output path (--out covers it), the two-path estimator's fixed design and
+    # its fixed angle grid
     for key, value in (("threads", 2), ("verify_trials", 40), ("out", "x.csv"),
-                       ("source_count", 2), ("refine", True)):
+                       ("source_count", 2), ("refine", True), ("grid_points", 512)):
         path.write_text(json.dumps(_minimal_dict(**{key: value})))
         with pytest.raises(ConfigError, match=f"unknown field\\(s\\): {key}"):
             parse_config(str(path))
@@ -73,7 +73,7 @@ def test_parse_config_names_bad_field(tmp_path):
 
 
 # one slot per numeric field and list of numbers, integer fields first; "X" marks it
-_INT_FIELDS = ("m", "t", "trials", "seed", "grid_points", "finite_t_trials", "mc_bound_trials")
+_INT_FIELDS = ("m", "t", "trials", "seed", "finite_t_trials", "mc_bound_trials")
 _NUMBER_SLOTS = [
     *((name, _minimal_dict(**{name: "X"}))
       for name in _INT_FIELDS + ("spacing", "p_d", "theta_d", "phi_walk_std")),
@@ -126,6 +126,34 @@ def test_parse_config_names_a_file_that_is_not_utf8(tmp_path):
 def test_config_h_s_fixed_length_check():
     with pytest.raises(ConfigError, match="h_s"):
         CampaignConfig(**_minimal_dict(h_s=HsSpec(mode="fixed", re=[1, 2], im=[0, 0])))
+
+
+@pytest.mark.parametrize("h_s, named", [
+    ({"re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}, "im, re"),
+    ({"mode": "random", "re": [1, 0, 0, 0]}, "re"),
+    ({"mode": "fixed", "re": [1, 0, 0, 0], "im": [0, 0, 0, 0], "power": 2.0}, "power")],
+    ids=["vector-without-mode", "vector-under-random", "power-under-fixed"])
+def test_parse_config_refuses_h_s_keys_of_the_other_mode(tmp_path, h_s, named):
+    # a key the chosen (or default) mode never reads would otherwise pass unused
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_minimal_dict(h_s=h_s)))
+    mode = h_s.get("mode", "random")
+    with pytest.raises(ConfigError, match=f"field 'h_s': mode '{mode}' does not use {named}$"):
+        parse_config(str(path))
+
+
+@pytest.mark.parametrize("snr", [4000.0, -4000.0, -3100.0],
+                         ids=["overflow", "zero-division", "infinite-sigma2"])
+def test_parse_config_refuses_an_snr_without_a_finite_positive_sigma2(tmp_path, snr):
+    # 10^(snr/10) overflows, underflows to 0, or is subnormal so that p_d M / 10^(snr/10) is inf
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_minimal_dict(snr_db=[10.0, snr])))
+    with pytest.raises(ConfigError, match=f"field 'snr_db': {snr:g} dB gives no finite "
+                                          "positive noise variance"):
+        parse_config(str(path))
+    for edge in (3000.0, -3000.0):     # sigma2 is 4e-300 and 4e300
+        path.write_text(json.dumps(_minimal_dict(snr_db=[edge])))
+        assert parse_config(str(path)).snr_db == (edge,)
 
 
 def test_config_roundtrip(tmp_path):
@@ -349,7 +377,7 @@ def test_csi_csv_roundtrip_is_bit_exact(tmp_path):
 
 
 def _campaign_cfg(**over):
-    base = dict(m=6, t=32, snr_db=[10.0], trials=8, seed=7, grid_points=512)
+    base = dict(m=6, t=32, snr_db=[10.0], trials=8, seed=7)
     base.update(over)
     return CampaignConfig(**base)
 
@@ -543,8 +571,8 @@ def _failing_estimator(monkeypatch, stage_of):
         running.point, running.trials = point, trials
         return real_chunk(cfg, h_s, point, trials)
 
-    def estimate(h, geom, grid_points):
-        est = real_estimate(h, geom, grid_points)
+    def estimate(h, geom):
+        est = real_estimate(h, geom)
         stages = [stage_of(running.point, trial) for trial in running.trials]
         errors = tuple(EstimationStageError(stage, ValueError("boom")) if stage else err
                        for stage, err in zip(stages, est.errors))
@@ -595,14 +623,14 @@ def test_phase_error_ignores_wrap_slips_and_common_rotations(monkeypatch):
         drawn.append(out[1])
         return out
 
-    def estimate(h, geom, cfg):
+    def estimate(h, geom):
         phi = drawn[-1]
         t = phi.shape[1]
         slipped = phi + 2 * np.pi * (np.arange(t) >= t // 2)
         slipped -= slipped.mean(axis=1, keepdims=True)
         shifted = [slipped, phi + 0.7, phi - 2.9]
         phi_hat = np.stack([shifted[k % 3][k] for k in range(len(phi))])
-        return dataclasses.replace(real_estimate(h, geom, cfg), phi_hat=phi_hat)
+        return dataclasses.replace(real_estimate(h, geom), phi_hat=phi_hat)
 
     monkeypatch.setattr(campaign_mod, "_trial_draws", draws)
     monkeypatch.setattr(campaign_mod, "estimate_batch", estimate)
