@@ -10,9 +10,11 @@ existing streams):
     SeedSequence(master, spawn_key=(4, 0)), (4, 1)     verification suites (`verify`)
     SeedSequence(master, spawn_key=(5, 0))             noise of the block estimate_input synthesizes
 
-Estimator trials run in chunks of CHUNK_TRIALS stacked blocks, on the calling
-thread and CHUNK_HELPERS helper threads, through MUSIC on the one angle grid of
-estimator.GRID_POINTS.  Each trial draws from its own stream
+A campaign's work is one list of tasks, run on the calling thread and
+CHUNK_HELPERS helper threads, largest first: each SNR point's hrcrb_theta Monte
+Carlo (bounds-only), then each point's finite-T bound (finite_t), then the
+estimator trials in chunks of CHUNK_TRIALS stacked blocks, through MUSIC on the
+one angle grid of estimator.GRID_POINTS.  Each task draws from its own streams
 in its own order, the stacked arithmetic is per trial, and reductions over
 trials run in trial order through math.fsum, so the CSV is byte-stable for a
 given (config, seed) whatever the chunk size and the helper count.
@@ -27,6 +29,7 @@ import os
 import threading
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,9 +51,10 @@ MAX_FAILURE_RATE = 0.05
 # while every thread holds a chunk.  Results do not depend on it.
 CHUNK_TRIALS = 32
 
-# Threads that run estimator chunks beside the calling one: one per extra usable
-# CPU.  A chunk's time goes to numpy, BLAS/LAPACK and the normal draws, which
-# release the GIL.  Results do not depend on it.
+# Threads that run a campaign's tasks (bound Monte Carlos and estimator chunks)
+# beside the calling one: one per extra usable CPU.  A task's time goes to numpy,
+# BLAS/LAPACK and the normal draws, which release the GIL.  Results do not
+# depend on it.
 CHUNK_HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1) - 1
 
@@ -193,19 +197,20 @@ def _run_chunk(cfg: CampaignConfig, h_s: np.ndarray, point: int, trials: range) 
             for k, (trial, err) in enumerate(zip(trials, est.errors))]
 
 
-def _run_chunks(chunks: list) -> list:
-    """``[_run_chunk(*args) for args in chunks]`` on this thread and CHUNK_HELPERS helpers.
+def _run_tasks(tasks: list) -> list:
+    """``[task() for task in tasks]`` on this thread and CHUNK_HELPERS helpers.
 
-    Each thread claims the lowest unclaimed chunk until none is left.  Once a
-    chunk has raised no thread claims another, and the error of the lowest-index
-    chunk that raised is re-raised: every chunk below it was claimed before it,
+    Each thread claims the lowest unclaimed task until none is left, so the
+    tasks start in list order and a caller lists its largest first.  Once a
+    task has raised no thread claims another, and the error of the lowest-index
+    task that raised is re-raised: every task below it was claimed before it,
     so which error surfaces does not depend on timing.
     """
-    # The calling thread claims chunks too, rather than waiting on a pool of
+    # The calling thread claims tasks too, rather than waiting on a pool of
     # CHUNK_HELPERS + 1 threads.  ThreadPoolExecutor.map in its place (6 pairs of
     # 20 s `campaign` benchmark runs, 2 CPUs) added a malloc arena, raising peak
     # RSS from about 67 to 72-73 MB, and ran about 3% fewer trials per second.
-    results = [None] * len(chunks)
+    results = [None] * len(tasks)
     errors = {}
     lock = threading.Lock()
     claimed = 0
@@ -214,25 +219,25 @@ def _run_chunks(chunks: list) -> list:
         nonlocal claimed
         while True:
             with lock:
-                if errors or claimed == len(chunks):
+                if errors or claimed == len(tasks):
                     return
                 k, claimed = claimed, claimed + 1
             try:
-                results[k] = _run_chunk(*chunks[k])
+                results[k] = tasks[k]()
             except Exception as err:
                 with lock:
                     errors[k] = err
                 return
 
     helpers = [threading.Thread(target=claim_and_run)
-               for _ in range(min(CHUNK_HELPERS, len(chunks) - 1))]
+               for _ in range(min(CHUNK_HELPERS, len(tasks) - 1))]
     for helper in helpers:
         helper.start()
     try:
         claim_and_run()
     finally:
         with lock:
-            claimed = len(chunks)   # an interrupt here stops the helpers after their chunk
+            claimed = len(tasks)   # an interrupt here stops the helpers after their task
         for helper in helpers:
             helper.join()
     if errors:
@@ -250,39 +255,46 @@ def _mean_and_stderr(values) -> tuple:
 
 
 def run_campaign(cfg: CampaignConfig, keep_trials: bool = False) -> CampaignResult:
-    """Execute the configured campaign; deterministic for fixed (config, seed)."""
+    """Execute the configured campaign; deterministic for fixed (config, seed).
+
+    The bound Monte Carlos and the estimator chunks run as one task list on
+    _run_tasks, in the module docstring's order, and the rows are built from
+    their results in point order.
+    """
     geom = ArrayGeometry(cfg.m, cfg.spacing)
     h_s = resolve_h_s(cfg)
     dist = GainDistribution(cfg.p_d)
+    points = range(len(cfg.snr_db))
+    sigma2 = [sigma2_from_snr_db(snr, cfg.p_d, cfg.m) for snr in cfg.snr_db]
+    mc = [partial(hrcrb_theta, geom, cfg.theta_d, h_s, sigma2[point], cfg.t, dist,
+                  mode="monte-carlo", trials=cfg.mc_bound_trials,
+                  seed=_stream(cfg.seed, 2, point))
+          for point in points if cfg.mode == "bounds-only"]
+    ft = [partial(finite_t_hrcrb_cgs, geom, cfg.theta_d, h_s, sigma2[point], cfg.t, dist,
+                  trials=cfg.finite_t_trials, seed=_stream(cfg.seed, 3, point))
+          for point in points if cfg.finite_t]
     chunks = []
     if cfg.mode == "estimator":
         check_estimator_inputs(cfg)
-        chunks = [(cfg, h_s, point, range(start, min(start + CHUNK_TRIALS, cfg.trials)))
-                  for point in range(len(cfg.snr_db))
-                  for start in range(0, cfg.trials, CHUNK_TRIALS)]
-    trial_results = [r for chunk in _run_chunks(chunks) for r in chunk]
+        chunks = [partial(_run_chunk, cfg, h_s, point,
+                          range(start, min(start + CHUNK_TRIALS, cfg.trials)))
+                  for point in points for start in range(0, cfg.trials, CHUNK_TRIALS)]
+    done = _run_tasks(mc + ft + chunks)
+    mc_reports, ft_reports = done[:len(mc)], done[len(mc):len(mc) + len(ft)]
+    trial_results = [r for chunk in done[len(mc) + len(ft):] for r in chunk]
     rows = []
     trial_map = {}
 
     for point, snr in enumerate(cfg.snr_db):
-        sigma2 = sigma2_from_snr_db(snr, cfg.p_d, cfg.m)
-        hb = hrcrb_theta(geom, cfg.theta_d, h_s, sigma2, cfg.t, dist, mode="closed-form")
-        ab = ahrcrb_cgs(geom, cfg.theta_d, h_s, sigma2, cfg.p_d)
+        hb = hrcrb_theta(geom, cfg.theta_d, h_s, sigma2[point], cfg.t, dist, mode="closed-form")
+        ab = ahrcrb_cgs(geom, cfg.theta_d, h_s, sigma2[point], cfg.p_d)
         rows.append(ResultRow(snr, "hrcrb_theta", hb.value, None, 0, cfg.seed))
         rows.append(ResultRow(snr, "ahrcrb_d", ab.value, None, 0, cfg.seed))
-
-        if cfg.mode == "bounds-only":
-            mc = hrcrb_theta(geom, cfg.theta_d, h_s, sigma2, cfg.t, dist,
-                             mode="monte-carlo", trials=cfg.mc_bound_trials,
-                             seed=_stream(cfg.seed, 2, point))
-            rows.append(ResultRow(snr, "hrcrb_theta_mc", mc.value, mc.mc_stderr,
-                                  mc.mc_trials, cfg.seed))
-        if cfg.finite_t:
-            ft = finite_t_hrcrb_cgs(geom, cfg.theta_d, h_s, sigma2, cfg.t, dist,
-                                    trials=cfg.finite_t_trials,
-                                    seed=_stream(cfg.seed, 3, point))
-            rows.append(ResultRow(snr, "finite_t_hrcrb_d", ft.value, ft.mc_stderr,
-                                  ft.mc_trials, cfg.seed))
+        for metric, reports in (("hrcrb_theta_mc", mc_reports), ("finite_t_hrcrb_d", ft_reports)):
+            if reports:
+                rep = reports[point]
+                rows.append(ResultRow(snr, metric, rep.value, rep.mc_stderr, rep.mc_trials,
+                                      cfg.seed))
 
         if cfg.mode == "estimator":
             results = trial_results[point * cfg.trials:(point + 1) * cfg.trials]

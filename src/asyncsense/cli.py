@@ -141,8 +141,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify" and args.trials < 2:
-            parser.error(f"argument --trials: must be at least 2, got {args.trials}")
+        if args.command == "verify":
+            if args.trials < 2:
+                parser.error(f"argument --trials: must be at least 2, got {args.trials}")
+            if args.seed < 0:
+                parser.error(f"argument --seed: must be non-negative, got {args.seed}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

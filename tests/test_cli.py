@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -112,6 +113,22 @@ def test_verify_refuses_fewer_than_two_trials(trials, capsys):
     assert main(["verify", "--trials", trials]) == 1
     captured = capsys.readouterr()
     assert f"argument --trials: must be at least 2, got {trials}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", ["-1", "-20240817"])
+def test_verify_refuses_a_negative_seed(seed, monkeypatch, capsys):
+    # a usage error that names the flag and the value, before any check runs
+    import asyncsense.campaign as campaign_mod
+
+    def no_checks(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(campaign_mod, "run_verification", no_checks)
+    assert main(["verify", "--trials", "2", "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert f"argument --seed: must be non-negative, got {seed}" in captured.err
+    assert "input error" not in captured.err
     assert captured.out == ""
 
 
@@ -353,6 +370,27 @@ def test_numerical_failure_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["bounds", "--config", path.as_posix()]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("helpers", [0, 1])
+def test_bounds_with_a_collinear_static_channel_exits_2_in_one_line(helpers, tmp_path,
+                                                                   monkeypatch, capsys):
+    # every bound Monte Carlo task raises; the lowest one's error is the one line printed
+    import asyncsense.campaign as campaign_mod
+    monkeypatch.setattr(campaign_mod, "CHUNK_HELPERS", helpers)
+    m, theta = 4, 0.3
+    a = np.exp(1j * 2 * np.pi * 0.5 * np.arange(m) * np.sin(theta))
+    cfg = {"m": m, "t": 8, "snr_db": [0.0, 10.0, 20.0], "trials": 2, "theta_d": theta,
+           "finite_t": True, "h_s": {"mode": "fixed", "re": list(a.real), "im": list(a.imag)}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    threads = threading.active_count()
+    assert main(["bounds", "--config", path.as_posix()]) == 2
+    assert threading.active_count() == threads
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1
+    assert lines[0].startswith("numerical failure: static channel is collinear")
+    assert not (tmp_path / "bounds.csv").exists()
 
 
 def test_package_runs_without_scipy():

@@ -463,6 +463,89 @@ def test_campaign_raises_the_lowest_failing_chunk_whatever_the_timing(monkeypatc
             run_campaign(_campaign_cfg(trials=8, snr_db=[0.0, 10.0, 20.0]))
 
 
+def _recording_bounds(monkeypatch):
+    """Record each bound Monte Carlo's BoundReport under its seed's spawn key."""
+    reports = {}
+    for name in ("hrcrb_theta", "finite_t_hrcrb_cgs"):
+        def record(*args, _real=getattr(campaign_mod, name), **kwargs):
+            rep = _real(*args, **kwargs)
+            if rep.method == "monte-carlo":
+                reports[kwargs["seed"].spawn_key] = rep
+            return rep
+
+        monkeypatch.setattr(campaign_mod, name, record)
+    return reports
+
+
+@pytest.mark.parametrize("mode", ["bounds-only", "estimator"])
+def test_campaign_bound_tasks_do_not_depend_on_the_helper_count(mode, tmp_path, monkeypatch):
+    # the bound Monte Carlos share the chunks' queue: same bytes, same reports and
+    # no thread left behind at any helper count, with the threads interleaving often
+    cfg = _campaign_cfg(trials=40, snr_db=[0.0, 10.0, 20.0], mode=mode, finite_t=True,
+                        finite_t_trials=300, mc_bound_trials=2000)
+    blobs, reports = [], []
+    recorded = _recording_bounds(monkeypatch)
+    switch = sys.getswitchinterval()
+    for helpers in (0, 1, 3):
+        monkeypatch.setattr(campaign_mod, "CHUNK_HELPERS", helpers)
+        recorded.clear()
+        threads = threading.active_count()
+        sys.setswitchinterval(1e-5)
+        try:
+            rows = run_campaign(cfg).rows
+        finally:
+            sys.setswitchinterval(switch)
+        assert threading.active_count() == threads
+        path = tmp_path / f"helpers{helpers}.csv"
+        emit_csv(rows, str(path))
+        blobs.append(path.read_bytes())
+        reports.append(dict(recorded))
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert reports[0] == reports[1] == reports[2]
+    keys = {(2, point) for point in range(3)} if mode == "bounds-only" else set()
+    assert set(reports[0]) == keys | {(3, point) for point in range(3)}
+
+
+@pytest.mark.parametrize("mode", ["bounds-only", "estimator"])
+def test_campaign_raises_the_lowest_failing_task_across_bounds_and_chunks(mode, monkeypatch):
+    # the Monte Carlos come first in the task list, then the chunks.  Task 1
+    # (point 1's first bound task) sleeps and raises after task 3 has raised:
+    # point 0's finite-T task in bounds-only, the first chunk in estimator mode
+    lower = "hrcrb_theta" if mode == "bounds-only" else "finite_t_hrcrb_cgs"
+    real_lower, real_ft = getattr(campaign_mod, lower), campaign_mod.finite_t_hrcrb_cgs
+    real_chunk = campaign_mod._run_chunk
+
+    def lower_task(*args, **kwargs):
+        if kwargs.get("seed") is not None and kwargs["seed"].spawn_key[1] == 1:
+            time.sleep(0.2)
+            raise ValueError("bound task 1 failed")
+        return real_lower(*args, **kwargs)
+
+    def finite_t(*args, **kwargs):
+        if kwargs["seed"].spawn_key == (3, 0):
+            raise ValueError("finite-T task 3 failed")
+        return real_ft(*args, **kwargs)
+
+    def run_chunk(cfg, h_s, point, trials):
+        if point == 0 and trials.start == 0:
+            raise ValueError("chunk task 3 failed")
+        return real_chunk(cfg, h_s, point, trials)
+
+    if mode == "bounds-only":
+        monkeypatch.setattr(campaign_mod, "finite_t_hrcrb_cgs", finite_t)
+    monkeypatch.setattr(campaign_mod, lower, lower_task)
+    monkeypatch.setattr(campaign_mod, "_run_chunk", run_chunk)
+    monkeypatch.setattr(campaign_mod, "CHUNK_TRIALS", 4)
+    cfg = _campaign_cfg(trials=8, snr_db=[0.0, 10.0, 20.0], mode=mode, finite_t=True,
+                        finite_t_trials=200, mc_bound_trials=500)
+    for helpers in (0, 3):
+        monkeypatch.setattr(campaign_mod, "CHUNK_HELPERS", helpers)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="bound task 1 failed"):
+            run_campaign(cfg)
+        assert threading.active_count() == threads
+
+
 def test_campaign_adding_trials_preserves_streams():
     # counter-based per-trial seeding: trial k is the same in a longer run,
     # also when the longer run puts it in another chunk
