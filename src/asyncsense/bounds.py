@@ -1,16 +1,17 @@
 """Performance bounds and inequality verifiers for the asynchronous sensing model.
 
-Closed forms, their Monte Carlo validators, and the inequality chain that
-justifies exchanging expectation and inversion:
+Closed forms, exact expectations, their Monte Carlo validators, and the
+inequality chain that justifies exchanging expectation and inversion:
 
 * rho factor: asynchrony penalty on the AoA bound, provably in [1, 2].
 * HRCRB_theta = 1 / E_d{J_theta^equ} with the expectation in closed form
   (E|d|^2 = T p_d, E[Im{c d^*}^2] = |c|^2 p_d / 2 for circular gains), which
   collapses to rho * sigma2 * M / (T * p_d * Gamma).
 * AHRCRB_d: large-T per-snapshot bound on the complex gain sequence.
-* finite-T Monte Carlo counterpart converging to AHRCRB_d from above.
+* finite-T counterpart, an exact quadrature over the gains, converging to
+  AHRCRB_d from above.
 
-Bound expectations use UNCONSTRAINED circular gain draws (faithful to the
+Bound expectations are over UNCONSTRAINED circular gains (faithful to the
 expectation algebra); estimator simulations use mean-removed draws.  The
 difference decays as O(1/T).
 """
@@ -22,8 +23,8 @@ import numpy as np
 
 from .array_model import ArrayGeometry, GainDistribution, gains_from_normals
 from .exceptions import DegenerateBoundError
-from .fisher import (SteeringGeometry, _check_sigma2, _efim_theta, _reordered,
-                     steering_geometry)
+from .fisher import (COLLINEARITY_RTOL, SteeringGeometry, _check_sigma2, _efim_theta,
+                     _reordered, steering_geometry)
 
 # Monte Carlo runs tolerate at most this fraction of discarded trials (gain
 # draws with non-positive equivalent information of theta_d) before the whole
@@ -31,15 +32,16 @@ from .fisher import (SteeringGeometry, _check_sigma2, _efim_theta, _reordered,
 MAX_DISCARD_RATE = 1e-3
 
 # Gains per Monte Carlo chunk: each of a chunk's complex (rows, T) temporaries
-# is 256 kB and stays in cache, at any trial count.  Campaign helper threads run
-# bound tasks side by side; at 2^16 a T=128 bounds sweep run that way raised
-# peak RSS by 11 MB, at 2^14 by 4 MB, and ran faster.
+# is 256 kB and stays in cache, at any trial count.
 _CHUNK_ELEMENTS = 2 ** 14
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A scalar bound with its provenance; stderr/trials only for Monte Carlo."""
+    """A scalar bound with its provenance; stderr/trials only for Monte Carlo.
+
+    closed-form and quadrature values are exact up to rounding.
+    """
 
     value: float
     method: str
@@ -48,12 +50,12 @@ class BoundReport:
     discard_rate: float = None
 
     def __post_init__(self):
-        if self.method not in ("closed-form", "monte-carlo"):
+        if self.method not in ("closed-form", "quadrature", "monte-carlo"):
             raise ValueError(f"unknown bound method {self.method!r}")
         if self.method == "monte-carlo" and (self.mc_trials is None or self.mc_stderr is None):
             raise ValueError("monte-carlo reports need mc_trials and mc_stderr")
-        if self.method == "closed-form" and self.mc_stderr is not None:
-            raise ValueError("closed-form reports carry no stderr")
+        if self.method != "monte-carlo" and self.mc_stderr is not None:
+            raise ValueError(f"{self.method} reports carry no stderr")
 
 
 @dataclass(frozen=True)
@@ -130,46 +132,89 @@ def ahrcrb_cgs(geom: ArrayGeometry, theta: float, h_s: np.ndarray,
     return BoundReport(value=float(value), method="closed-form")
 
 
-def _cgs_trace_draws(g: SteeringGeometry, sigma2: float, d: np.ndarray):
-    """Per-trial (1/T) sum_t Tr([J_psi_t^equ^-1]_{1:2,1:2}) for draws d of shape (n, T).
+def _cgs_u(g: SteeringGeometry, d: np.ndarray) -> np.ndarray:
+    """u_t of the per-snapshot trace of the finite-T gain bound, for gains d of any shape.
 
-    J_psi_t^equ = J_psi_t - v_t v_t^T / L_t, with v_t = J_theta,psi_t and L_t the
-    leave-one-out information of theta_d, is the EFIM of psi_t; its inverse is the
-    psi_t diagonal block of the inverse of ``ReorderedFim.assemble()``.  It is a
-    rank-one update of J_psi_t, whose inverse is closed-form (``fisher.psi_block_inverse``).
-    By Sherman-Morrison, with chi_t = a^H h_s + M d_t and c = ``SteeringGeometry.c``:
+    The bound averages (1/T) sum_t Tr([J_psi_t^equ^-1]_{1:2,1:2}).  J_psi_t^equ =
+    J_psi_t - v_t v_t^T / L_t, with v_t = J_theta,psi_t and L_t the leave-one-out
+    information of theta_d, is the EFIM of psi_t; its inverse is the psi_t diagonal
+    block of the inverse of ``ReorderedFim.assemble()``.  It is a rank-one update of
+    J_psi_t, whose inverse is closed-form (``fisher.psi_block_inverse``).  By
+    Sherman-Morrison, with chi_t = a^H h_s + M d_t and c = ``SteeringGeometry.c``:
 
         Tr([J_psi_t^equ^-1]_{1:2,1:2}) = sigma2 (|chi_t|^2 / Delta + 2) / M + |u_t|^2 / J,
         u_t = (a^H b d_t - j chi_t Im{c d_t^*} / Delta) / M,
 
     where J = L_t - v_t^T J_psi_t^-1 v_t is the full equivalent information of
-    theta_d (``fisher._efim_theta``), the same for every t.  With Delta > 0,
-    every J_psi_t^equ is positive definite exactly when J > 0, which is the
-    returned validity mask.  The first term has expectation AHRCRB_d under
-    unconstrained draws and the second is >= 0, which is why the finite-T bound
-    converges to AHRCRB_d from above.  Returns (values, valid_mask).
+    theta_d (``fisher._efim_theta``), the same for every t.  With Delta > 0, every
+    J_psi_t^equ is positive definite exactly when J > 0.
     """
-    m, t = g.a.shape[-1], d.shape[-1]
+    m = g.a.shape[-1]
     chi = g.ah + m * d
-    u = (g.ab * d - 1j * chi * np.imag(g.c * np.conj(d)) / g.delta) / m
-    info = _efim_theta(g, d, sigma2)
-    valid = info > 0
-    values = (sigma2 * np.mean(np.abs(chi) ** 2 / g.delta + 2, axis=-1) / m
-              + np.sum(np.abs(u) ** 2, axis=-1) / (t * np.where(valid, info, 1.0)))
-    return values, valid
+    return (g.ab * d - 1j * chi * np.imag(g.c * np.conj(d)) / g.delta) / m
+
+
+# Gauss-Hermite rule for E f(z), z ~ N(0, 1): exact up to degree 5, so for |u_t|^2,
+# a quartic in (Re d_t, Im d_t).
+_HERMITE_NODES = np.array([-math.sqrt(3.0), 0.0, math.sqrt(3.0)])
+_HERMITE_WEIGHTS = np.array([1.0, 4.0, 1.0]) / 6.0
+
+# Step of finite_t_hrcrb_cgs's trapezoid rule in x = ln(s A).  Its integrand is
+# analytic and bounded for |Im x| < pi / 2, so the rule's error falls like exp(-pi^2 / step):
+# 7e-18 relative at 1/4.
+_LOG_STEP = 0.25
 
 
 def finite_t_hrcrb_cgs(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma2: float,
-                       t: int, dist: GainDistribution, trials: int, seed) -> BoundReport:
-    """Finite-T Monte Carlo per-snapshot CGS bound, converging to AHRCRB_d from above."""
+                       t: int, dist: GainDistribution) -> BoundReport:
+    """Finite-T per-snapshot CGS bound, by exact quadrature; it converges to AHRCRB_d from above.
+
+    The expectation over circular gains of (1/T) sum_t Tr([J_psi_t^equ^-1]_{1:2,1:2})
+    (see ``_cgs_u``).  Its first term averages to AHRCRB_d.  With 1/J = int_0^inf
+    e^{-sJ} ds and independent d_t, its second is
+
+        int_0^inf E_s{|u|^2} [(1 + s A)(1 + s B)]^{-T/2} ds,
+        A = p_d Gamma / (sigma2 M),   B = p_d (Gamma - Xi / Delta) / (sigma2 M),
+
+    where E_s is over the tilted Gaussian d ~ N(0, (2/p_d I + 2 s Q)^-1), Q the
+    quadratic form of J in (Re d, Im d): variance p_d / (2 (1 + s A)) along c and
+    p_d / (2 (1 + s B)) along -j c.  E_s takes a 3 x 3 Gauss-Hermite rule, exact
+    for the quartic |u|^2.  The s integral takes the trapezoid rule in x = ln(s A),
+    z = e^x.  Against a whole of order E_0 / (T A), E_0 = E_0{|u|^2}, the integrand
+    is at most z E_0 / A, and above x = 0 at most z^{1 - T/2} min(1, (r z)^{-T/2})
+    E_0 / A with r = B / A, so the rule runs from x = -(40 + ln T) to where that
+    bound falls to e^-40 / T: each end cuts about e^-40 of the whole.  The nodes do
+    not depend on sigma2, and the integral scales as sigma2.  With Xi = Gamma Delta
+    to rounding (B = 0, rho = 2) J keeps one direction per snapshot and E{|u|^2 / J}
+    diverges for T <= 2, which raises DegenerateBoundError.
+    """
     if t < 2:
         raise ValueError(f"need T >= 2, got {t}")
     _check_sigma2(sigma2)
     g = steering_geometry(geom, theta, h_s).checked()
-    kept, mean, stderr, discard_rate = _monte_carlo(
-        lambda d: _cgs_trace_draws(g, sigma2, d), dist, trials, t, seed)
-    return BoundReport(value=mean, method="monte-carlo", mc_trials=kept,
-                       mc_stderr=stderr, discard_rate=discard_rate)
+    info = dist.p_d * g.gamma / (sigma2 * geom.m)                  # A
+    r = 1.0 - g.xi / (g.gamma * g.delta)                           # B / A, in [0, 1]
+    if r <= COLLINEARITY_RTOL:
+        r = 0.0
+    # upper end: the smallest x with (T/2 - 1) x + (T/2) max(0, x + ln r) >= 40 + ln T
+    edge = 40.0 + math.log(t)
+    x_hi = min(edge / (t / 2 - 1) if t > 2 else math.inf,
+               (edge - t / 2 * math.log(r)) / (t - 1) if r > 0 else math.inf)
+    if x_hi == math.inf:
+        raise DegenerateBoundError(
+            f"the finite-T gain bound diverges at T={t}: Xi = Gamma Delta (rho = 2) leaves "
+            f"the information of theta_d one direction per snapshot, and T <= 2")
+    z = np.exp(np.arange(-edge, x_hi + _LOG_STEP, _LOG_STEP))     # s A
+    k = _HERMITE_NODES
+    unit = g.c / abs(g.c) if g.c != 0 else 1.0
+    d = unit * math.sqrt(dist.p_d / 2) * (k[:, None] / np.sqrt(1 + z)[:, None, None]
+                                          - 1j * k / np.sqrt(1 + r * z)[:, None, None])
+    e_u2 = np.sum(np.abs(_cgs_u(g, d)) ** 2 * np.outer(_HERMITE_WEIGHTS, _HERMITE_WEIGHTS),
+                  axis=(1, 2))
+    integrand = z * e_u2 * np.exp(-t / 2 * (np.log1p(z) + np.log1p(r * z))) / info
+    excess = _LOG_STEP * math.fsum(integrand)
+    return BoundReport(value=ahrcrb_cgs(geom, theta, h_s, sigma2, dist.p_d).value + excess,
+                       method="quadrature")
 
 
 def _monte_carlo(per_draw, dist: GainDistribution, trials: int, t: int, seed):

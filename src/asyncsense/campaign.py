@@ -5,19 +5,21 @@ existing streams):
 
     SeedSequence(master, spawn_key=(0, point, trial))  per-trial synthesis
     SeedSequence(master, spawn_key=(1, 0))             campaign-level h_s draw
-    SeedSequence(master, spawn_key=(2, point))         Monte Carlo AoA bound
-    SeedSequence(master, spawn_key=(3, point))         finite-T CGS bound
+    SeedSequence(master, spawn_key=(2, 0))             Monte Carlo AoA bound
     SeedSequence(master, spawn_key=(4, 0)), (4, 1)     verification suites (`verify`)
     SeedSequence(master, spawn_key=(5, 0))             noise of the block estimate_input synthesizes
 
-A campaign's work is one list of tasks, run on the calling thread and
-CHUNK_HELPERS helper threads, largest first: each SNR point's hrcrb_theta Monte
-Carlo (bounds-only), then each point's finite-T bound (finite_t), then the
-estimator trials in chunks of CHUNK_TRIALS stacked blocks, through MUSIC on the
-one angle grid of estimator.GRID_POINTS.  Each task draws from its own streams
-in its own order, the stacked arithmetic is per trial, and reductions over
-trials run in trial order through math.fsum, so the CSV is byte-stable for a
-given (config, seed) whatever the chunk size and the helper count.
+The finite-T bound (finite_t, exact) and the hrcrb_theta Monte Carlo
+(bounds-only, on stream (2, 0)) are sigma2 times a sigma2-free number: each runs
+once, at point 0's sigma2, and is scaled to every point.  The finite-T bound runs
+inline; the rest is one list of tasks, run on the calling thread and up to
+CHUNK_HELPERS helper threads, largest first: the Monte Carlo (a bounds-only
+campaign's only task, so it starts no helper), then the estimator trials in
+chunks of CHUNK_TRIALS stacked blocks, through MUSIC on the one angle grid of
+estimator.GRID_POINTS.  Each task draws from its own streams in its own order,
+the stacked arithmetic is per trial, and reductions over trials run in trial
+order through math.fsum, so the CSV is byte-stable for a given (config, seed)
+whatever the chunk size and the helper count.
 
 SNR convention: SNR_dB = 10 log10(p_d * M / sigma2), the dynamic-path array
 SNR (|a|^2 = M), with sigma2 the per-real-component noise variance.  The config
@@ -51,7 +53,7 @@ MAX_FAILURE_RATE = 0.05
 # while every thread holds a chunk.  Results do not depend on it.
 CHUNK_TRIALS = 32
 
-# Threads that run a campaign's tasks (bound Monte Carlos and estimator chunks)
+# Threads that run a campaign's tasks (the bound Monte Carlo and estimator chunks)
 # beside the calling one: one per extra usable CPU.  A task's time goes to numpy,
 # BLAS/LAPACK and the normal draws, which release the GIL.  Results do not
 # depend on it.
@@ -257,31 +259,29 @@ def _mean_and_stderr(values) -> tuple:
 def run_campaign(cfg: CampaignConfig, keep_trials: bool = False) -> CampaignResult:
     """Execute the configured campaign; deterministic for fixed (config, seed).
 
-    The bound Monte Carlos and the estimator chunks run as one task list on
-    _run_tasks, in the module docstring's order, and the rows are built from
-    their results in point order.
+    The finite-T bound runs inline, then the Monte Carlo and the estimator chunks
+    as one task list on _run_tasks, in the module docstring's order; the rows are
+    built from their results in point order.
     """
     geom = ArrayGeometry(cfg.m, cfg.spacing)
     h_s = resolve_h_s(cfg)
     dist = GainDistribution(cfg.p_d)
     points = range(len(cfg.snr_db))
     sigma2 = [sigma2_from_snr_db(snr, cfg.p_d, cfg.m) for snr in cfg.snr_db]
-    mc = [partial(hrcrb_theta, geom, cfg.theta_d, h_s, sigma2[point], cfg.t, dist,
-                  mode="monte-carlo", trials=cfg.mc_bound_trials,
-                  seed=_stream(cfg.seed, 2, point))
-          for point in points if cfg.mode == "bounds-only"]
-    ft = [partial(finite_t_hrcrb_cgs, geom, cfg.theta_d, h_s, sigma2[point], cfg.t, dist,
-                  trials=cfg.finite_t_trials, seed=_stream(cfg.seed, 3, point))
-          for point in points if cfg.finite_t]
+    ft = (finite_t_hrcrb_cgs(geom, cfg.theta_d, h_s, sigma2[0], cfg.t, dist)
+          if cfg.finite_t else None)
+    mc = ([partial(hrcrb_theta, geom, cfg.theta_d, h_s, sigma2[0], cfg.t, dist,
+                   mode="monte-carlo", trials=cfg.mc_bound_trials, seed=_stream(cfg.seed, 2, 0))]
+          if cfg.mode == "bounds-only" else [])
     chunks = []
     if cfg.mode == "estimator":
         check_estimator_inputs(cfg)
         chunks = [partial(_run_chunk, cfg, h_s, point,
                           range(start, min(start + CHUNK_TRIALS, cfg.trials)))
                   for point in points for start in range(0, cfg.trials, CHUNK_TRIALS)]
-    done = _run_tasks(mc + ft + chunks)
-    mc_reports, ft_reports = done[:len(mc)], done[len(mc):len(mc) + len(ft)]
-    trial_results = [r for chunk in done[len(mc) + len(ft):] for r in chunk]
+    done = _run_tasks(mc + chunks)
+    mc_report = done[0] if mc else None
+    trial_results = [r for chunk in done[len(mc):] for r in chunk]
     rows = []
     trial_map = {}
 
@@ -290,11 +290,12 @@ def run_campaign(cfg: CampaignConfig, keep_trials: bool = False) -> CampaignResu
         ab = ahrcrb_cgs(geom, cfg.theta_d, h_s, sigma2[point], cfg.p_d)
         rows.append(ResultRow(snr, "hrcrb_theta", hb.value, None, 0, cfg.seed))
         rows.append(ResultRow(snr, "ahrcrb_d", ab.value, None, 0, cfg.seed))
-        for metric, reports in (("hrcrb_theta_mc", mc_reports), ("finite_t_hrcrb_d", ft_reports)):
-            if reports:
-                rep = reports[point]
-                rows.append(ResultRow(snr, metric, rep.value, rep.mc_stderr, rep.mc_trials,
-                                      cfg.seed))
+        scale = sigma2[point] / sigma2[0]
+        if mc_report is not None:
+            rows.append(ResultRow(snr, "hrcrb_theta_mc", mc_report.value * scale,
+                                  mc_report.mc_stderr * scale, mc_report.mc_trials, cfg.seed))
+        if ft is not None:
+            rows.append(ResultRow(snr, "finite_t_hrcrb_d", ft.value * scale, None, 0, cfg.seed))
 
         if cfg.mode == "estimator":
             results = trial_results[point * cfg.trials:(point + 1) * cfg.trials]

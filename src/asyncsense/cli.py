@@ -74,7 +74,10 @@ def _check_outputs(args):
 
 
 def _load_config(args) -> CampaignConfig:
+    """The config the command runs, echoed to stderr: `bounds` runs its bounds-only form."""
     cfg = parse_config(args.config)
+    if args.command == "bounds":
+        cfg = replace(cfg, mode="bounds-only")
     sys.stderr.write("# effective config:\n")
     for line in config_to_json(cfg).splitlines():
         sys.stderr.write(f"# {line}\n")
@@ -101,8 +104,6 @@ def _cmd_fim(args) -> int:
 def _cmd_campaign(args) -> int:
     """`montecarlo` runs the configured campaign, `bounds` its bounds-only form."""
     cfg = _load_config(args)
-    if args.command == "bounds":
-        cfg = replace(cfg, mode="bounds-only")
     result = camp.run_campaign(cfg)
     emit_csv(result.rows, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")

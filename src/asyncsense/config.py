@@ -55,7 +55,7 @@ class CampaignConfig:
     seed: int = 0
     mode: str = "estimator"
     finite_t: bool = False
-    finite_t_trials: int = 2000
+    finite_t_trials: int = 2000       # retired: parsed and range-checked, changes no output
     mc_bound_trials: int = 20000
     phi_walk_std: float = 0.5
 

@@ -4,15 +4,17 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
-from asyncsense import (ArrayGeometry, BoundReport, ChainCheckReport, CollinearityError,
-                        DegenerateBoundError, GainDistribution, ScenarioParams, ahrcrb_cgs,
-                        finite_t_hrcrb_cgs, hrcrb_theta, reordered_blocks, rho_theta,
-                        steering_vector, verify_hrcrb_chain)
+from asyncsense import (ArrayGeometry, BoundReport, CampaignConfig, ChainCheckReport,
+                        CollinearityError, DegenerateBoundError, GainDistribution,
+                        ScenarioParams, ahrcrb_cgs, finite_t_hrcrb_cgs, hrcrb_theta,
+                        reordered_blocks, rho_theta, sigma2_from_snr_db, steering_vector,
+                        verify_hrcrb_chain)
 import asyncsense.bounds as bounds_mod
 from asyncsense.array_model import _steering_pair, gains_from_normals
-from asyncsense.bounds import _cgs_trace_draws, _separated_h_s
-from asyncsense.campaign import RHO_BLOCK, check_rho_range, random_scenario
+from asyncsense.bounds import _cgs_u, _separated_h_s
+from asyncsense.campaign import RHO_BLOCK, check_rho_range, random_scenario, resolve_h_s
 from asyncsense.fisher import _efim_theta, _reordered, steering_geometry
 
 
@@ -162,23 +164,19 @@ def test_monte_carlo_bounds_do_not_depend_on_chunk_size(reference_scenario, monk
     geom, theta, h_s, sigma2, p_d = reference_scenario
     dist, t = GainDistribution(p_d), 24
 
-    def both():
-        return (hrcrb_theta(geom, theta, h_s, sigma2, t, dist, mode="monte-carlo",
-                            trials=1001, seed=11),
-                finite_t_hrcrb_cgs(geom, theta, h_s, sigma2, t, dist, trials=1001, seed=12))
-
     reports = []
     for elements in (1, 7 * t, bounds_mod._CHUNK_ELEMENTS):
         monkeypatch.setattr(bounds_mod, "_CHUNK_ELEMENTS", elements)
-        reports.append(both())
+        reports.append(hrcrb_theta(geom, theta, h_s, sigma2, t, dist, mode="monte-carlo",
+                                   trials=1001, seed=11))
     assert reports[0] == reports[1] == reports[2]
-    for rep in reports[0]:
-        assert type(rep.value) is float and type(rep.mc_stderr) is float
-        assert rep.mc_trials == 1001 and rep.mc_stderr > 0
+    rep = reports[0]
+    assert type(rep.value) is float and type(rep.mc_stderr) is float
+    assert rep.mc_trials == 1001 and rep.mc_stderr > 0
 
 
 def test_monte_carlo_bounds_draw_one_rows_by_2_by_t_stream(reference_scenario):
-    # both bounds see the gains of one (trials, 2, T) standard-normal draw
+    # the Monte Carlo bound sees the gains of one (trials, 2, T) standard-normal draw
     geom, theta, h_s, sigma2, p_d = reference_scenario
     dist, g = GainDistribution(p_d), steering_geometry(geom, theta, h_s)
 
@@ -193,10 +191,6 @@ def test_monte_carlo_bounds_draw_one_rows_by_2_by_t_stream(reference_scenario):
         mc = hrcrb_theta(geom, theta, h_s, sigma2, t, dist, mode="monte-carlo",
                          trials=trials, seed=seed)
         assert (mc.value, mc.mc_stderr, mc.mc_trials) == (1.0 / mean, stderr / mean ** 2, kept)
-        values, valid = _cgs_trace_draws(g, sigma2, d)
-        mean, stderr, kept = summary(values[valid])
-        cgs = finite_t_hrcrb_cgs(geom, theta, h_s, sigma2, t, dist, trials=trials, seed=seed)
-        assert (cgs.value, cgs.mc_stderr, cgs.mc_trials) == (mean, stderr, kept)
 
 
 def _first_rows_discarded(discard):
@@ -285,15 +279,16 @@ def test_ahrcrb_diverges_near_collinearity():
         ahrcrb_cgs(geom, 0.3, a, 1.0, 1.0)
 
 
-def test_finite_t_is_seed_deterministic_and_reports_stderr():
+def test_finite_t_is_exact_and_reports_no_stderr():
     geom = ArrayGeometry(4)
     h_s = np.array([1, -1, 1, -1], dtype=complex)
     dist = GainDistribution(1.0)
-    a = finite_t_hrcrb_cgs(geom, 0.0, h_s, 1.0, 2, dist, trials=500, seed=3)
-    b = finite_t_hrcrb_cgs(geom, 0.0, h_s, 1.0, 2, dist, trials=500, seed=3)
-    assert a.value == b.value and a.mc_stderr == b.mc_stderr
-    assert a.method == "monte-carlo" and a.mc_stderr > 0
-    assert a.discard_rate <= 1e-3
+    a = finite_t_hrcrb_cgs(geom, 0.0, h_s, 1.0, 2, dist)
+    assert a == finite_t_hrcrb_cgs(geom, 0.0, h_s, 1.0, 2, dist)
+    assert a.method == "quadrature" and type(a.value) is float
+    assert a.mc_stderr is a.mc_trials is a.discard_rate is None
+    with pytest.raises(TypeError):      # no draws, so no trial count and no seed
+        finite_t_hrcrb_cgs(geom, 0.0, h_s, 1.0, 2, dist, trials=500, seed=3)
 
 
 def test_monte_carlo_bounds_refuse_a_missing_seed():
@@ -303,8 +298,6 @@ def test_monte_carlo_bounds_refuse_a_missing_seed():
     dist = GainDistribution(1.0)
     with pytest.raises(ValueError, match="explicit seed"):
         hrcrb_theta(geom, 0.0, h_s, 1.0, 4, dist, mode="monte-carlo", trials=500)
-    with pytest.raises(ValueError, match="explicit seed"):
-        finite_t_hrcrb_cgs(geom, 0.0, h_s, 1.0, 4, dist, trials=500, seed=None)
     assert hrcrb_theta(geom, 0.0, h_s, 1.0, 4, dist).method == "closed-form"
 
 
@@ -312,10 +305,127 @@ def test_finite_t_decreases_toward_asymptote(reference_scenario):
     geom, theta, h_s, sigma2, p_d = reference_scenario
     dist = GainDistribution(p_d)
     asym = ahrcrb_cgs(geom, theta, h_s, sigma2, p_d).value
-    values = [finite_t_hrcrb_cgs(geom, theta, h_s, sigma2, t, dist, trials=4000, seed=9).value
-              for t in (16, 64, 256)]
-    assert values[0] > values[1] > values[2] > asym
-    assert values[2] / asym < 1.02
+    values = [finite_t_hrcrb_cgs(geom, theta, h_s, sigma2, t, dist).value
+              for t in (2, 16, 64, 256, 2048)]
+    assert all(np.diff(values) < 0) and values[-1] > asym
+    assert values[3] / asym < 1.02
+
+
+def _excess_mpmath(g, sigma2, t, p_d, dps=20):
+    """finite_t_hrcrb_cgs minus AHRCRB_d by mpmath: int_0^inf E_s{|u|^2} det(I + s p_d Q)^(-T/2) ds.
+
+    Independent of the library's quadrature: Q is built from c, the tilted covariance
+    (2/p_d I + 2 s Q)^-1 is inverted and factored, E_s takes a 4-point Gauss-Hermite
+    rule per axis (exact to degree 7), u_t comes from its definition, and mpmath.quad
+    takes the s integral with breakpoints at the scales of Q's two eigenvalues.
+    """
+    with mpmath.workdps(dps):
+        m = g.a.shape[-1]
+        gam, delta = mpmath.mpf(g.gamma), mpmath.mpf(g.delta)
+        c, ah, ab = (mpmath.mpc(complex(v)) for v in (g.c, g.ah, g.ab))
+        s2, pd = mpmath.mpf(sigma2), mpmath.mpf(p_d)
+        w = mpmath.matrix([[c.imag], [-c.real]])          # Im{c d^*} = w^T (Re d, Im d)
+        q = (gam * mpmath.eye(2) - w * w.T / delta) / (s2 * m)
+        roots = [mpmath.sqrt(3 - mpmath.sqrt(6)), mpmath.sqrt(3 + mpmath.sqrt(6))]
+        rule = [(sign * x, 24 / (16 * (x ** 3 - 3 * x) ** 2)) for x in roots for sign in (1, -1)]
+
+        def integrand(s):
+            chol = mpmath.cholesky(mpmath.inverse(2 / pd * mpmath.eye(2) + 2 * s * q))
+            total = 0
+            for x1, w1 in rule:
+                for x2, w2 in rule:
+                    re_d, im_d = chol * mpmath.matrix([[x1], [x2]])
+                    d = mpmath.mpc(re_d, im_d)
+                    chi = ah + m * d
+                    u = (ab * d - 1j * chi * mpmath.im(c * mpmath.conj(d)) / delta) / m
+                    total += w1 * w2 * abs(u) ** 2
+            return total * mpmath.det(mpmath.eye(2) + s * pd * q) ** (-mpmath.mpf(t) / 2)
+
+        eig = [pd * v / (s2 * m) for v in (gam, gam - abs(c) ** 2 / delta)]
+        points = sorted({mpmath.mpf(0), 1 / (t * eig[0])} | {1 / e for e in eig if e > 0})
+        return float(mpmath.quad(integrand, points + [mpmath.inf]))
+
+
+def _criterion_7_h_s():
+    return resolve_h_s(CampaignConfig(m=8, t=128, snr_db=[0.0], trials=1, seed=20240817))
+
+
+@pytest.mark.parametrize("case", ["m3-t4", "criterion-7", "m3-t2-near-rho-2"])
+def test_finite_t_quadrature_matches_mpmath(case):
+    geom = ArrayGeometry(8 if case == "criterion-7" else 3)
+    rng = np.random.default_rng(15)
+    h_s = rng.standard_normal(geom.m) + 1j * rng.standard_normal(geom.m)
+    sigma2, p_d, t = 0.7, 1.3, 4
+    if case == "criterion-7":
+        h_s, p_d, t = _criterion_7_h_s(), 1.0, 128
+        sigma2 = sigma2_from_snr_db(20.0, p_d, 8)
+    elif case == "m3-t2-near-rho-2":
+        # h_s near b + a multiple of a: Xi / (Gamma Delta) = 1 - 1.2e-5, where the
+        # integrand is flat in ln s between the two scales of Q
+        a, b = _steering_pair(geom, 0.35)
+        h_s, t = 0.3 * a + b + 1e-2 * h_s, 2
+    g = steering_geometry(geom, 0.35, h_s).checked()
+    got = (finite_t_hrcrb_cgs(geom, 0.35, h_s, sigma2, t, GainDistribution(p_d)).value
+           - ahrcrb_cgs(geom, 0.35, h_s, sigma2, p_d).value)
+    want = _excess_mpmath(g, sigma2, t, p_d)
+    assert abs(got - want) <= 1e-10 * want
+
+
+def test_finite_t_matches_a_monte_carlo_oracle(reference_scenario):
+    # The bound's two terms, AHRCRB_d and the excess, each against the mean of its
+    # per-draw values at 5 T: 10 two-sided 3-sigma comparisons, of which a correct
+    # bound fails one with probability 1 - 0.9973^10 = 2.7% at a fresh seed.
+    geom, theta, h_s, sigma2, p_d = reference_scenario
+    dist, g = GainDistribution(p_d), steering_geometry(geom, theta, h_s)
+    rng = np.random.default_rng(16)
+    ahrcrb = ahrcrb_cgs(geom, theta, h_s, sigma2, p_d).value
+    for t in (2, 4, 16, 128, 512):
+        d = gains_from_normals(rng.standard_normal((min(50_000, 2 ** 18 // t), 2, t)), dist)
+        values, valid = _cgs_trace_draws(g, sigma2, d)
+        assert valid.all()
+        excess = np.sum(np.abs(_cgs_u(g, d)) ** 2, axis=-1) / (t * _efim_theta(g, d, sigma2))
+        exact = finite_t_hrcrb_cgs(geom, theta, h_s, sigma2, t, dist).value
+        for draws, mean in ((values - excess, ahrcrb), (excess, exact - ahrcrb)):
+            stderr = np.std(draws, ddof=1) / math.sqrt(draws.size)
+            assert abs(np.mean(draws) - mean) < 3 * stderr, (t, mean)
+
+
+def test_finite_t_is_proportional_to_sigma2(reference_scenario):
+    # the quadrature's nodes do not depend on sigma2
+    geom, theta, h_s, _, p_d = reference_scenario
+    dist = GainDistribution(p_d)
+    for t in (2, 128):
+        per_sigma2 = [finite_t_hrcrb_cgs(geom, theta, h_s, s2, t, dist).value / s2
+                      for s2 in (8.0, 0.8, 0.08, 1e-6)]
+        assert max(per_sigma2) - min(per_sigma2) <= 4e-16 * per_sigma2[0]
+
+
+def test_finite_t_diverges_where_xi_equals_gamma_delta_and_t_is_2():
+    # h_s = b + 0.3 a puts P_a^perp h_s along P_a^perp b: Xi = Gamma Delta, rho = 2,
+    # and J keeps one direction per snapshot, so E{1/J} diverges for T <= 2
+    geom = ArrayGeometry(4)
+    a, b = _steering_pair(geom, 0.35)
+    h_s = b + 0.3 * a
+    g = steering_geometry(geom, 0.35, h_s).checked()
+    assert abs(1 - g.xi / (g.gamma * g.delta)) < 1e-15
+    dist = GainDistribution(1.0)
+    with pytest.raises(DegenerateBoundError, match="diverges at T=2"):
+        finite_t_hrcrb_cgs(geom, 0.35, h_s, 1.0, 2, dist)
+    values = [finite_t_hrcrb_cgs(geom, 0.35, h_s, 1.0, t, dist).value for t in (3, 4, 64)]
+    assert all(np.isfinite(values)) and values[0] > values[1] > values[2]
+
+
+@pytest.mark.parametrize("m", [3, 4, 8, 16])
+def test_xi_over_gamma_delta_is_beta_1_m_minus_2(m):
+    # For h_s ~ CN(0, I), Xi / (Gamma Delta) is the squared cosine between P_a^perp h_s,
+    # isotropic in M - 1 complex dimensions, and P_a^perp b (README).  One
+    # Kolmogorov-Smirnov test per M at the 0.1% level: 4 comparisons.
+    rng = np.random.default_rng(17)
+    n = 20_000
+    thetas = rng.uniform(-1.2, 1.2, n)
+    h_s = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    g = rho_theta(ArrayGeometry(m), thetas, h_s)
+    assert stats.kstest(g.xi / (g.gamma * g.delta), "beta", args=(1, m - 2)).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("bound", ["hrcrb_theta", "ahrcrb_cgs", "finite_t_hrcrb_cgs"])
@@ -326,14 +436,28 @@ def test_bounds_reject_non_finite_sigma2(reference_scenario, bound, bad):
     calls = {
         "hrcrb_theta": lambda s2: hrcrb_theta(geom, theta, h_s, s2, 8, dist),
         "ahrcrb_cgs": lambda s2: ahrcrb_cgs(geom, theta, h_s, s2, p_d),
-        "finite_t_hrcrb_cgs": lambda s2: finite_t_hrcrb_cgs(geom, theta, h_s, s2, 8, dist,
-                                                            trials=10, seed=0),
+        "finite_t_hrcrb_cgs": lambda s2: finite_t_hrcrb_cgs(geom, theta, h_s, s2, 8, dist),
     }
     with pytest.raises(ValueError):
         calls[bound](bad)
     if bound == "ahrcrb_cgs":
         with pytest.raises(ValueError):
             ahrcrb_cgs(geom, theta, h_s, sigma2, bad)
+
+
+def _cgs_trace_draws(g, sigma2, d):
+    """Per-draw (1/T) sum_t Tr([J_psi_t^equ^-1]_{1:2,1:2}) for gains d (n, T), and J > 0.
+
+    The Sherman-Morrison form of ``bounds._cgs_u`` over the draws; the Monte Carlo
+    oracle of finite_t_hrcrb_cgs averages it.
+    """
+    m, t = g.a.shape[-1], d.shape[-1]
+    chi = g.ah + m * d
+    info = _efim_theta(g, d, sigma2)
+    valid = info > 0
+    values = (sigma2 * np.mean(np.abs(chi) ** 2 / g.delta + 2, axis=-1) / m
+              + np.sum(np.abs(_cgs_u(g, d)) ** 2, axis=-1) / (t * np.where(valid, info, 1.0)))
+    return values, valid
 
 
 def _dense_inverse_trace(geom, params):
@@ -423,7 +547,8 @@ def test_cgs_trace_near_collinear_matches_mpmath():
 
 
 def _monte_carlo_peak_bytes(bound, t):
-    """Traced peak of one 20000-trial Monte Carlo bound at M=8 and the given T."""
+    """Traced peak of one bound at M=8 and the given T: the 20000-trial hrcrb_theta
+    Monte Carlo, or the exact finite-T bound."""
     geom = ArrayGeometry(8)
     rng = np.random.default_rng(14)
     h_s = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
@@ -433,7 +558,7 @@ def _monte_carlo_peak_bytes(bound, t):
         if bound == "hrcrb_theta":
             hrcrb_theta(geom, 0.35, h_s, 0.1, t, dist, "monte-carlo", trials=20000, seed=0)
         else:
-            finite_t_hrcrb_cgs(geom, 0.35, h_s, 0.1, t, dist, trials=20000, seed=0)
+            finite_t_hrcrb_cgs(geom, 0.35, h_s, 0.1, t, dist)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -553,5 +678,7 @@ def test_bound_report_invariants():
         BoundReport(1.0, "monte-carlo")                     # missing stderr/trials
     with pytest.raises(ValueError):
         BoundReport(1.0, "closed-form", mc_trials=5, mc_stderr=0.1)
+    with pytest.raises(ValueError, match="quadrature reports carry no stderr"):
+        BoundReport(1.0, "quadrature", mc_stderr=0.1)
     with pytest.raises(ValueError):
         BoundReport(1.0, "guesswork")

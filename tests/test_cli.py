@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -12,6 +13,7 @@ import pytest
 
 from asyncsense import parse_results_csv
 from asyncsense.cli import main
+from asyncsense.config import config_to_json, parse_config
 from asyncsense.csvio import read_matrix_csv
 
 
@@ -60,6 +62,22 @@ def test_bounds_command(tmp_path, cfg_path, capsys):
     capsys.readouterr()
     rows = parse_results_csv(str(out))
     assert {r.metric for r in rows} == {"hrcrb_theta", "ahrcrb_d", "hrcrb_theta_mc"}
+
+
+def _echoed_config(err) -> dict:
+    """The effective config that a command echoes to stderr, parsed back."""
+    lines = [line[2:] for line in err.splitlines() if line.startswith("# ")]
+    assert lines[0] == "effective config:"
+    return json.loads("\n".join(lines[1:]))
+
+
+@pytest.mark.parametrize("command, mode", [("bounds", "bounds-only"),
+                                           ("montecarlo", "estimator")])
+def test_the_echoed_config_is_the_one_that_runs(command, mode, tmp_path, cfg_path, capsys):
+    # `bounds` runs the config's bounds-only form, so that is what it echoes
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out.csv")]) == 0
+    want = json.loads(config_to_json(dataclasses.replace(parse_config(cfg_path), mode=mode)))
+    assert _echoed_config(capsys.readouterr().err) == want
 
 
 def test_estimate_synthesized_and_from_file(tmp_path, cfg_path, capsys):

@@ -477,18 +477,34 @@ def _recording_bounds(monkeypatch):
     return reports
 
 
+def _counting_thread_starts(monkeypatch) -> list:
+    """The names of the threads started while the test runs."""
+    started, real_start = [], threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
 @pytest.mark.parametrize("mode", ["bounds-only", "estimator"])
 def test_campaign_bound_tasks_do_not_depend_on_the_helper_count(mode, tmp_path, monkeypatch):
-    # the bound Monte Carlos share the chunks' queue: same bytes, same reports and
-    # no thread left behind at any helper count, with the threads interleaving often
+    # the one bound Monte Carlo (bounds-only, on stream (2, 0)) runs on the task
+    # queue: same bytes, same report and no thread left behind at any helper count,
+    # with the threads interleaving often.  A bounds-only campaign is that one
+    # task, so it starts no helper at all.
     cfg = _campaign_cfg(trials=40, snr_db=[0.0, 10.0, 20.0], mode=mode, finite_t=True,
-                        finite_t_trials=300, mc_bound_trials=2000)
+                        mc_bound_trials=2000)
     blobs, reports = [], []
     recorded = _recording_bounds(monkeypatch)
+    started = _counting_thread_starts(monkeypatch)
     switch = sys.getswitchinterval()
     for helpers in (0, 1, 3):
         monkeypatch.setattr(campaign_mod, "CHUNK_HELPERS", helpers)
         recorded.clear()
+        started.clear()
         threads = threading.active_count()
         sys.setswitchinterval(1e-5)
         try:
@@ -496,54 +512,71 @@ def test_campaign_bound_tasks_do_not_depend_on_the_helper_count(mode, tmp_path, 
         finally:
             sys.setswitchinterval(switch)
         assert threading.active_count() == threads
+        assert len(started) == (0 if mode == "bounds-only" else helpers)
         path = tmp_path / f"helpers{helpers}.csv"
         emit_csv(rows, str(path))
         blobs.append(path.read_bytes())
         reports.append(dict(recorded))
     assert blobs[0] == blobs[1] == blobs[2]
     assert reports[0] == reports[1] == reports[2]
-    keys = {(2, point) for point in range(3)} if mode == "bounds-only" else set()
-    assert set(reports[0]) == keys | {(3, point) for point in range(3)}
+    assert set(reports[0]) == ({(2, 0)} if mode == "bounds-only" else set())
 
 
 @pytest.mark.parametrize("mode", ["bounds-only", "estimator"])
-def test_campaign_raises_the_lowest_failing_task_across_bounds_and_chunks(mode, monkeypatch):
-    # the Monte Carlos come first in the task list, then the chunks.  Task 1
-    # (point 1's first bound task) sleeps and raises after task 3 has raised:
-    # point 0's finite-T task in bounds-only, the first chunk in estimator mode
-    lower = "hrcrb_theta" if mode == "bounds-only" else "finite_t_hrcrb_cgs"
-    real_lower, real_ft = getattr(campaign_mod, lower), campaign_mod.finite_t_hrcrb_cgs
-    real_chunk = campaign_mod._run_chunk
+def test_campaign_raises_a_bound_error_before_any_chunk_runs(mode, monkeypatch):
+    # the finite-T bound runs inline before the task list, and a bounds-only
+    # campaign's one task is its Monte Carlo: either error reaches the caller at
+    # any helper count, with no chunk run and no thread started
+    name = "hrcrb_theta" if mode == "bounds-only" else "finite_t_hrcrb_cgs"
+    real = getattr(campaign_mod, name)
 
-    def lower_task(*args, **kwargs):
-        if kwargs.get("seed") is not None and kwargs["seed"].spawn_key[1] == 1:
-            time.sleep(0.2)
-            raise ValueError("bound task 1 failed")
-        return real_lower(*args, **kwargs)
+    def failing(*args, **kwargs):
+        if name == "finite_t_hrcrb_cgs" or kwargs.get("mode") == "monte-carlo":
+            raise ValueError(f"{name} failed")
+        return real(*args, **kwargs)
 
-    def finite_t(*args, **kwargs):
-        if kwargs["seed"].spawn_key == (3, 0):
-            raise ValueError("finite-T task 3 failed")
-        return real_ft(*args, **kwargs)
+    def run_chunk(*args):
+        raise AssertionError("a chunk ran")
 
-    def run_chunk(cfg, h_s, point, trials):
-        if point == 0 and trials.start == 0:
-            raise ValueError("chunk task 3 failed")
-        return real_chunk(cfg, h_s, point, trials)
-
-    if mode == "bounds-only":
-        monkeypatch.setattr(campaign_mod, "finite_t_hrcrb_cgs", finite_t)
-    monkeypatch.setattr(campaign_mod, lower, lower_task)
+    monkeypatch.setattr(campaign_mod, name, failing)
     monkeypatch.setattr(campaign_mod, "_run_chunk", run_chunk)
-    monkeypatch.setattr(campaign_mod, "CHUNK_TRIALS", 4)
+    started = _counting_thread_starts(monkeypatch)
     cfg = _campaign_cfg(trials=8, snr_db=[0.0, 10.0, 20.0], mode=mode, finite_t=True,
-                        finite_t_trials=200, mc_bound_trials=500)
+                        mc_bound_trials=500)
     for helpers in (0, 3):
         monkeypatch.setattr(campaign_mod, "CHUNK_HELPERS", helpers)
-        threads = threading.active_count()
-        with pytest.raises(ValueError, match="bound task 1 failed"):
+        with pytest.raises(ValueError, match=f"{name} failed"):
             run_campaign(cfg)
-        assert threading.active_count() == threads
+    assert started == []
+
+
+def test_campaign_gain_expectation_rows_are_proportional_to_sigma2():
+    # hrcrb_theta_mc and finite_t_hrcrb_d are sigma2 times a sigma2-free number,
+    # each evaluated once at point 0's sigma2: point 0's rows are those bounds at
+    # its sigma2 bit for bit, and the other points' rows scale with theirs
+    cfg = _campaign_cfg(mode="bounds-only", snr_db=[3.0, 0.0, 10.0, 20.0], finite_t=True,
+                        mc_bound_trials=500)
+    rows = run_campaign(cfg).rows
+    geom, h_s = ArrayGeometry(cfg.m), campaign_mod.resolve_h_s(cfg)
+    dist = campaign_mod.GainDistribution(cfg.p_d)
+    sigma2 = {snr: sigma2_from_snr_db(snr, cfg.p_d, cfg.m) for snr in cfg.snr_db}
+    s0 = sigma2[3.0]
+    mc = campaign_mod.hrcrb_theta(geom, cfg.theta_d, h_s, s0, cfg.t, dist, mode="monte-carlo",
+                                  trials=500, seed=campaign_mod._stream(cfg.seed, 2, 0))
+    ft = campaign_mod.finite_t_hrcrb_cgs(geom, cfg.theta_d, h_s, s0, cfg.t, dist)
+    for metric, rep in (("hrcrb_theta_mc", mc), ("finite_t_hrcrb_d", ft)):
+        by_snr = {r.snr_db: r for r in rows if r.metric == metric}
+        assert list(by_snr) == list(cfg.snr_db)
+        assert (by_snr[3.0].value, by_snr[3.0].stderr) == (rep.value, rep.mc_stderr)
+        for snr, row in by_snr.items():
+            assert abs(row.value / sigma2[snr] - rep.value / s0) <= 4e-16 * rep.value / s0
+            assert row.trials == (rep.mc_trials or 0)
+            if rep.mc_stderr is not None:
+                assert row.stderr == pytest.approx(rep.mc_stderr * sigma2[snr] / s0, rel=4e-16)
+    for snr in cfg.snr_db:
+        own = campaign_mod.finite_t_hrcrb_cgs(geom, cfg.theta_d, h_s, sigma2[snr], cfg.t, dist)
+        row = next(r for r in rows if (r.snr_db, r.metric) == (snr, "finite_t_hrcrb_d"))
+        assert row.value == pytest.approx(own.value, rel=1e-14)
 
 
 def test_campaign_adding_trials_preserves_streams():
@@ -617,7 +650,7 @@ def test_bounds_only_campaign_accepts_a_wrapping_phase_walk():
 def test_bounds_only_campaign_accepts_a_grating_lobe_spacing():
     # the bounds are local and still hold where the estimator is ambiguous
     rows = run_campaign(_campaign_cfg(spacing=0.9, mode="bounds-only", finite_t=True,
-                                      finite_t_trials=200, mc_bound_trials=500)).rows
+                                      mc_bound_trials=500)).rows
     assert {r.metric for r in rows} == {"hrcrb_theta", "ahrcrb_d", "hrcrb_theta_mc",
                                         "finite_t_hrcrb_d"}
 
@@ -637,7 +670,7 @@ def test_campaign_bounds_only_rows():
 
 
 def test_campaign_estimator_rows_and_fail_rate():
-    res = run_campaign(_campaign_cfg(trials=5, finite_t=True, finite_t_trials=200))
+    res = run_campaign(_campaign_cfg(trials=5, finite_t=True))
     metrics = {r.metric for r in res.rows}
     assert {"hrcrb_theta", "ahrcrb_d", "finite_t_hrcrb_d", "mse_theta", "mse_d",
             "mse_phi", "estimator_fail_rate"} <= metrics
