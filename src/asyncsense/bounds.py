@@ -193,7 +193,7 @@ def finite_t_hrcrb_cgs(geom: ArrayGeometry, theta: float, h_s: np.ndarray, sigma
     _check_sigma2(sigma2)
     g = steering_geometry(geom, theta, h_s).checked()
     info = dist.p_d * g.gamma / (sigma2 * geom.m)                  # A
-    r = 1.0 - g.xi / (g.gamma * g.delta)                           # B / A, in [0, 1]
+    r = g.gamma_perp / g.gamma                                     # B / A, in [0, 1]
     if r <= COLLINEARITY_RTOL:
         r = 0.0
     # upper end: the smallest x with (T/2 - 1) x + (T/2) max(0, x + ln r) >= 40 + ln T

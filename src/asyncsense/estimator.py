@@ -3,8 +3,8 @@
 Six stages applied to one CSI block H (M x T):
 
 1. AoA by spectral MUSIC on the sample covariance H H^H / T (two-dimensional
-   signal subspace: static channel plus dynamic steering vector), scanned over
-   one fixed grid of GRID_POINTS cell-centre angles and refined off it.
+   signal subspace: static channel plus dynamic steering vector): a^H P_n a scanned
+   over GRID_POINTS cell-centre angles, then Newton steps to its minimiser.
 2. Beamspace split: A = a(theta_hat)/|a(theta_hat)|, B = orthonormal basis of
    its nullspace (the last M-1 columns of the Householder reflector that maps
    A to -e_0).
@@ -32,17 +32,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .array_model import ArrayGeometry, CsiBlock, steering_vector
+from .array_model import ArrayGeometry, CsiBlock, _steering_pair, steering_vector
 from .exceptions import DegenerateProjectionError, EstimationStageError
 
 # The model has exactly a static and a dynamic path, so the signal subspace
 # has two dimensions and the disambiguation step picks between two peaks.
 _SOURCES = 2
-
-# Peak value this far above its neighbours marks a numerical pole of the
-# noiseless pseudospectrum; parabolic interpolation through a pole is
-# meaningless, so the grid node itself is returned.
-_POLE_GUARD = 1e12
 
 # Diagnostic-only threshold on mean(signal eigenvalues) / mean(noise
 # eigenvalues) below which the block is flagged as having no dominant gap.
@@ -59,11 +54,6 @@ _TINY = np.finfo(float).tiny
 # The MUSIC angle grid's size.
 GRID_POINTS = 2048
 
-# Grid columns per tile of MUSIC's noise projection: the (n, 2(M-2), tile)
-# product stays well under a MB per 32-block chunk, where the whole grid's
-# would be several.  Each column's arithmetic does not depend on the tiling.
-_GRID_TILE = 256
-
 
 @dataclass(frozen=True)
 class MusicDiagnostics:
@@ -78,7 +68,7 @@ class MusicDiagnostics:
     peak_heights: np.ndarray         # (n, 2)
     peak_variances: np.ndarray       # (n, 2) beam-magnitude variance used to disambiguate
     eigen_gap_ratio: np.ndarray      # (n,)
-    refined: np.ndarray              # (n,) False where a pole or an edge skipped refinement
+    refined: np.ndarray              # (n,) False where Newton ended on its window's edge
 
     @property
     def has_dominant_gap(self):
@@ -120,16 +110,15 @@ class BatchEstimate:
 
 @functools.lru_cache(maxsize=8)
 def _aoa_grid(m: int, spacing: float):
-    """Cell-centre angle grid on (-pi/2, pi/2), its steering vectors (grid, M) and
-    their real parts stacked on their imaginary parts as columns (2M x grid); read-only."""
+    """Cell-centre angle grid on (-pi/2, pi/2), its steering vectors (grid, M) and the scan's
+    table [Re; -Im] of their columns 1..M-1 (2(M-1) x grid); read-only."""
     step = np.pi / GRID_POINTS
     grid = -np.pi / 2 + (np.arange(GRID_POINTS) + 0.5) * step
     manifold = steering_vector(ArrayGeometry(m, spacing), grid)
-    # C order: MUSIC's stacked matmul runs about twice as slow on the F-ordered concatenation
-    stacked = np.ascontiguousarray(np.concatenate([manifold.real.T, manifold.imag.T]))
-    for arr in (grid, manifold, stacked):
+    table = np.concatenate([manifold[:, 1:].real, -manifold[:, 1:].imag], axis=1).T.copy()
+    for arr in (grid, manifold, table):
         arr.setflags(write=False)
-    return grid, manifold, stacked
+    return grid, manifold, table
 
 
 def _hermitian(x: np.ndarray) -> np.ndarray:
@@ -178,25 +167,24 @@ def _select_peaks(spectrum: np.ndarray):
     return index, np.stack([np.ones(n, dtype=bool), two], axis=1)
 
 
-def _refine_peaks(grid: np.ndarray, spectrum: np.ndarray, best: np.ndarray):
-    """Parabolic (log-domain) peak interpolation with a pole guard.
+def _newton(e_n: np.ndarray, geom: ArrayGeometry, grid: np.ndarray, best: np.ndarray):
+    """Three Newton steps on f = |E_n^H a(theta)|^2 from the nodes ``best``: (theta, refined).
 
-    Returns (theta, refined) per row.  Edge peaks and numerical poles of the
-    noiseless pseudospectrum are returned unrefined: the grid node is already
-    the minimizer of the noise projection to machine precision.
+    With v = E_n^H a, f'/2 = Re(v'^H v) and f''/2 = |v'|^2 + Re(v''^H v), and no step
+    where f'' <= 0.  Iterates are clipped to one grid step either side of the node and to
+    [grid[0], grid[-1]]; refined is False where the last one is on that window's edge.
     """
-    rows = np.arange(best.size)
-    last = grid.size - 1
-    below = spectrum[rows, np.maximum(best - 1, 0)]
-    peak = spectrum[rows, best]
-    above = spectrum[rows, np.minimum(best + 1, last)]
-    lm, lc, lp = np.log(below), np.log(peak), np.log(above)
-    denom = lm - 2 * lc + lp
-    refined = ((best > 0) & (best < last)
-               & ~(peak > _POLE_GUARD * np.maximum(below, above)) & (denom < 0))
-    delta = 0.5 * (lm - lp) / np.where(refined, denom, -1.0)
-    theta = np.where(refined, grid[best] + delta * (grid[1] - grid[0]), grid[best])
-    return theta, refined
+    theta, step, e_conj = grid[best], grid[1] - grid[0], e_n.conj()
+    lo, hi = np.maximum(theta - step, grid[0]), np.minimum(theta + step, grid[-1])
+    for _ in range(3):
+        a, da = _steering_pair(geom, theta)
+        dda = geom.phase_ramp * (np.cos(theta)[:, None] * da - np.sin(theta)[:, None] * a)
+        # rows (E_n^H a, E_n^H a', E_n^H a''), real and imaginary parts interleaved
+        v, dv, ddv = np.moveaxis((np.stack([a, da, dda], axis=1) @ e_conj).view(float), 1, 0)
+        grad, curv = np.add.reduce(dv * v, axis=-1), np.add.reduce(dv * dv + ddv * v, axis=-1)
+        theta = np.clip(theta - np.where(curv > 0, grad, 0.0) / np.where(curv > 0, curv, 1.0),
+                        lo, hi)
+    return theta, (theta > lo) & (theta < hi)
 
 
 def _music(h: np.ndarray, geom: ArrayGeometry):
@@ -216,19 +204,16 @@ def _music(h: np.ndarray, geom: ArrayGeometry):
     with np.errstate(over="ignore"):
         gap_ratio = eigval[:, noise_dim:].mean(axis=1) / noise_floor
 
-    grid, manifold, stacked = _aoa_grid(geom.m, geom.spacing)
-    # |E_n^H a|^2 in real arithmetic: with E_n^H = P + jQ and a = C + jS,
-    # [P -Q; Q P] [C; S] stacks Re and Im of E_n^H a.  The noise-subspace form
-    # squares a small number at the peak, so the noiseless pole stays a pole;
-    # M - |E_s^H a|^2 would cancel instead.
-    e_h = _hermitian(eigvec[:, :, :noise_dim])
-    w = np.concatenate([np.concatenate([e_h.real, -e_h.imag], axis=2),
-                        np.concatenate([e_h.imag, e_h.real], axis=2)], axis=1)
-    power = np.empty((n, GRID_POINTS))
-    for lo in range(0, GRID_POINTS, _GRID_TILE):
-        z = w @ stacked[:, lo:lo + _GRID_TILE]
-        np.einsum("nkg,nkg->ng", z, z, out=power[:, lo:lo + _GRID_TILE])
-    spectrum = 1.0 / np.maximum(power, _TINY)
+    grid, manifold, table = _aoa_grid(geom.m, geom.spacing)
+    # a^H P_n a = tr P_n + 2 Re sum_{k=1}^{M-1} c_k e^{jk omega}, c_k the k-th superdiagonal
+    # sum of P_n = E_n E_n^H: one (1, 2(M-1)) x (2(M-1), grid) product per block
+    e_n = eigvec[:, :, :noise_dim]
+    proj = e_n @ _hermitian(e_n)
+    c = np.stack([np.trace(proj, k, axis1=1, axis2=2) for k in range(1, m)], axis=1)
+    power = (np.concatenate([c.real, c.imag], axis=1)[:, None, :] @ table)[:, 0, :]
+    power *= 2                      # in place: each (n, grid) temporary costs page faults
+    power += np.trace(proj, axis1=1, axis2=2).real[:, None]
+    spectrum = 1.0 / np.maximum(power, _TINY, out=power)
 
     peaks, valid = _select_peaks(spectrum)
     # dynamic-vs-static disambiguation: the dynamic beam modulates |a^H h_t|
@@ -236,7 +221,8 @@ def _music(h: np.ndarray, geom: ArrayGeometry):
     variances = np.where(valid, (np.abs(beams @ h) / m).var(axis=2), -np.inf)
     best = peaks[np.arange(n), np.argmax(variances, axis=1)]
 
-    theta_hat, refined = _refine_peaks(grid, spectrum, best)
+    # the polynomial cancels near a noiseless null, so Newton reads f from E_n itself
+    theta_hat, refined = _newton(e_n, geom, grid, best)
     return theta_hat, MusicDiagnostics(eigval, grid[peaks],
                                        np.take_along_axis(spectrum, peaks, axis=1),
                                        variances, gap_ratio, refined)

@@ -189,7 +189,7 @@ class SteeringGeometry:
         Gamma = |a|^2 |b|^2 - |a^H b|^2,   Delta = |a|^2 |h_s|^2 - |a^H h_s|^2,
         scale = |a|^2 |h_s|^2,   rho = (1 - Xi / (2 Gamma Delta))^-1 (asynchrony penalty).
 
-    For a batch, a and b have shape (..., M) and every scalar shape (...).
+    For a batch, a, b and w (``steering_geometry``'s) have shape (..., M), every scalar (...).
     """
 
     a: np.ndarray
@@ -202,6 +202,7 @@ class SteeringGeometry:
     delta: float
     xi: float
     scale: float
+    w: np.ndarray
 
     def checked(self) -> "SteeringGeometry":
         """This record, or CollinearityError unless Delta exceeds rounding level of its scale.
@@ -222,6 +223,16 @@ class SteeringGeometry:
     def rho(self):
         return 1.0 / (1.0 - self.xi / (2.0 * self.gamma * self.delta))
 
+    @property
+    def gamma_perp(self):
+        """Gamma - Xi / Delta (see ``steering_geometry``); Gamma = M kappa^2 sum_k (k - kbar)^2."""
+        k = np.arange(self.w.shape[-1]) - (self.w.shape[-1] - 1) / 2
+        wr, wi = self.w.real, self.w.imag
+        norm2 = np.add.reduce(wr * wr + wi * wi, axis=-1)[..., None]
+        sr, si = (np.add.reduce(k * x, axis=-1)[..., None] / norm2 for x in (wr, wi))
+        pr, pi = k - (sr * wr + si * wi), sr * wi - si * wr     # k - kbar off its w part
+        return self.gamma / np.add.reduce(k * k) * np.add.reduce(pr * pr + pi * pi, axis=-1)
+
 
 def steering_geometry(geom: ArrayGeometry, theta, h_s) -> SteeringGeometry:
     """Gamma, Delta, Xi and the inner products behind them; collinear h_s is allowed here.
@@ -233,11 +244,13 @@ def steering_geometry(geom: ArrayGeometry, theta, h_s) -> SteeringGeometry:
         Delta = M sum |w_k|^2,   c = j kappa M s,   Xi = |c|^2,
         Gamma = kappa^2 M^2 (M^2 - 1) / 12,   scale = Delta + |a^H h_s|^2,
         a^H h_s = sum u_k,   a^H b = j kappa M kbar,   b^H h_s = -j kappa (s + kbar a^H h_s),
+        Gamma - Xi / Delta = M kappa^2 sum_k |k - kbar - conj(s) w_k / sum |w|^2|^2,
 
     none of which cancels near collinearity: the rounding of a^H h_s / M shifts
-    every w_k alike, and sum_k (k - kbar) = 0.  Only elementwise operations and
-    last-axis sums are used, and no two scalars are multiplied as full complex
-    numbers, so row i of a batch equals the unbatched call on row i bit for bit.
+    every w_k alike, and sum_k (k - kbar) = 0.  The last (``gamma_perp``, read on
+    demand) also keeps its accuracy as Xi / (Gamma Delta) -> 1.  Only elementwise
+    operations and last-axis sums are used, and no two scalars are multiplied as full
+    complex numbers, so row i of a batch equals the unbatched call on row i bit for bit.
     """
     h_s = np.asarray(h_s, dtype=complex)
     m = geom.m
@@ -257,7 +270,7 @@ def steering_geometry(geom: ArrayGeometry, theta, h_s) -> SteeringGeometry:
                             bh=-1j * kappa * (s + kbar * ah), c=c,
                             gamma=kappa * kappa * (m * m * (m * m - 1) // 12),
                             delta=delta, xi=c.real * c.real + c.imag * c.imag,
-                            scale=delta + ah.real * ah.real + ah.imag * ah.imag)
+                            scale=delta + ah.real * ah.real + ah.imag * ah.imag, w=w)
 
 
 def _check_sigma2(sigma2: float):

@@ -63,11 +63,11 @@ def test_estimator_manifold_is_steering_vector():
     points = GRID_POINTS
     for m, spacing in ((8, 0.5), (5, 0.3), (3, 0.7)):
         geom = ArrayGeometry(m, spacing)
-        grid, manifold, stacked = _aoa_grid(m, spacing)
-        assert manifold.shape == (points, m) and stacked.shape == (2 * m, points)
+        grid, manifold, table = _aoa_grid(m, spacing)
+        assert manifold.shape == (points, m) and table.shape == (2 * (m - 1), points)
         np.testing.assert_array_equal(manifold, steering_vector(geom, grid))
-        np.testing.assert_array_equal(stacked[:m], manifold.real.T)
-        np.testing.assert_array_equal(stacked[m:], manifold.imag.T)
+        np.testing.assert_array_equal(table[:m - 1], manifold[:, 1:].real.T)
+        np.testing.assert_array_equal(table[m - 1:], -manifold[:, 1:].imag.T)
         for i in (0, 1, points // 3, points - 1):
             np.testing.assert_array_equal(manifold[i], steering_vector(geom, grid[i]))
             np.testing.assert_array_equal(manifold[i], steering_vector(geom, float(grid[i])))

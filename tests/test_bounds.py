@@ -311,7 +311,29 @@ def test_finite_t_decreases_toward_asymptote(reference_scenario):
     assert values[3] / asym < 1.02
 
 
-def _excess_mpmath(g, sigma2, t, p_d, dps=20):
+def _library_geometry(g):
+    """(M, Gamma, Delta, c, a^H h_s, a^H b) of the library's float record."""
+    return (g.a.shape[-1], mpmath.mpf(g.gamma), mpmath.mpf(g.delta),
+            *(mpmath.mpc(complex(v)) for v in (g.c, g.ah, g.ab)))
+
+
+def _geometry_from_definitions(geom, theta, h_s, dps=50):
+    """(M, Gamma, Delta, c, a^H h_s, a^H b) from theta and h_s in dps-digit arithmetic."""
+    def dot(x, y):
+        return mpmath.fsum(mpmath.conj(p) * q for p, q in zip(x, y))
+
+    with mpmath.workdps(dps):
+        k = range(geom.m)
+        phase = 2 * mpmath.pi * mpmath.mpf(geom.spacing)
+        a = [mpmath.expj(phase * i * mpmath.sin(theta)) for i in k]
+        b = [1j * phase * i * mpmath.cos(theta) * a[i] for i in k]
+        h = [mpmath.mpc(complex(x)) for x in h_s]
+        return (geom.m, dot(a, a).real * dot(b, b).real - abs(dot(a, b)) ** 2,
+                dot(a, a).real * dot(h, h).real - abs(dot(a, h)) ** 2,
+                dot(b, a) * dot(a, h) - dot(a, a) * dot(b, h), dot(a, h), dot(a, b))
+
+
+def _excess_mpmath(geometry, sigma2, t, p_d, dps=20):
     """finite_t_hrcrb_cgs minus AHRCRB_d by mpmath: int_0^inf E_s{|u|^2} det(I + s p_d Q)^(-T/2) ds.
 
     Independent of the library's quadrature: Q is built from c, the tilted covariance
@@ -320,9 +342,7 @@ def _excess_mpmath(g, sigma2, t, p_d, dps=20):
     takes the s integral with breakpoints at the scales of Q's two eigenvalues.
     """
     with mpmath.workdps(dps):
-        m = g.a.shape[-1]
-        gam, delta = mpmath.mpf(g.gamma), mpmath.mpf(g.delta)
-        c, ah, ab = (mpmath.mpc(complex(v)) for v in (g.c, g.ah, g.ab))
+        m, gam, delta, c, ah, ab = geometry
         s2, pd = mpmath.mpf(sigma2), mpmath.mpf(p_d)
         w = mpmath.matrix([[c.imag], [-c.real]])          # Im{c d^*} = w^T (Re d, Im d)
         q = (gam * mpmath.eye(2) - w * w.T / delta) / (s2 * m)
@@ -334,8 +354,8 @@ def _excess_mpmath(g, sigma2, t, p_d, dps=20):
             total = 0
             for x1, w1 in rule:
                 for x2, w2 in rule:
-                    re_d, im_d = chol * mpmath.matrix([[x1], [x2]])
-                    d = mpmath.mpc(re_d, im_d)
+                    # (Re d, Im d) = chol (x1, x2), chol lower triangular
+                    d = mpmath.mpc(chol[0, 0] * x1, chol[1, 0] * x1 + chol[1, 1] * x2)
                     chi = ah + m * d
                     u = (ab * d - 1j * chi * mpmath.im(c * mpmath.conj(d)) / delta) / m
                     total += w1 * w2 * abs(u) ** 2
@@ -350,7 +370,8 @@ def _criterion_7_h_s():
     return resolve_h_s(CampaignConfig(m=8, t=128, snr_db=[0.0], trials=1, seed=20240817))
 
 
-@pytest.mark.parametrize("case", ["m3-t4", "criterion-7", "m3-t2-near-rho-2"])
+@pytest.mark.parametrize("case", ["m3-t4", "criterion-7", "m3-t2-near-rho-2",
+                                  "m3-t2-nearer-rho-2"])
 def test_finite_t_quadrature_matches_mpmath(case):
     geom = ArrayGeometry(8 if case == "criterion-7" else 3)
     rng = np.random.default_rng(15)
@@ -364,10 +385,33 @@ def test_finite_t_quadrature_matches_mpmath(case):
         # integrand is flat in ln s between the two scales of Q
         a, b = _steering_pair(geom, 0.35)
         h_s, t = 0.3 * a + b + 1e-2 * h_s, 2
-    g = steering_geometry(geom, 0.35, h_s).checked()
+    elif case == "m3-t2-nearer-rho-2":
+        # Xi / (Gamma Delta) = 1 - 1.2e-11: only a geometry built from theta and h_s
+        # in 50 digits sees the rounding of 1 - Xi / (Gamma Delta)
+        a, b = _steering_pair(geom, 0.35)
+        h_s, t = 0.3 * a + b + 1e-5 * h_s, 2
     got = (finite_t_hrcrb_cgs(geom, 0.35, h_s, sigma2, t, GainDistribution(p_d)).value
            - ahrcrb_cgs(geom, 0.35, h_s, sigma2, p_d).value)
-    want = _excess_mpmath(g, sigma2, t, p_d)
+    if case == "m3-t2-nearer-rho-2":
+        want = _excess_mpmath(_geometry_from_definitions(geom, 0.35, h_s), sigma2, t, p_d, dps=25)
+    else:
+        want = _excess_mpmath(_library_geometry(steering_geometry(geom, 0.35, h_s).checked()),
+                              sigma2, t, p_d)
+    assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-5, 3e-6])
+def test_gamma_perp_matches_mpmath_near_rho_2(eps):
+    # Xi / (Gamma Delta) = 1 - 1.2e-5 ... 1 - 1.1e-12; 1 - Xi / (Gamma Delta) in
+    # doubles would be 2e-4 off at the last
+    geom = ArrayGeometry(3)
+    rng = np.random.default_rng(15)
+    a, b = _steering_pair(geom, 0.35)
+    h_s = 0.3 * a + b + eps * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    _, gamma, delta, c, _, _ = _geometry_from_definitions(geom, 0.35, h_s)
+    with mpmath.workdps(50):
+        want = gamma - abs(c) ** 2 / delta
+    got = steering_geometry(geom, 0.35, h_s).checked().gamma_perp
     assert abs(got - want) <= 1e-10 * want
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.signal import find_peaks
 
 from asyncsense import (ArrayGeometry, CampaignConfig, CsiBlock, DegenerateProjectionError,
@@ -194,8 +195,8 @@ def test_cgs_exact_recovery_with_known_phases():
 
 
 def test_pipeline_noiseless_on_grid_full_recovery():
-    # theta_d on a grid node: MUSIC returns it exactly (pole guard) and the
-    # downstream stages recover phi and d to working precision
+    # theta_d on a grid node: f' is at rounding level there, so Newton keeps the
+    # node exactly, and the downstream stages recover phi and d to working precision
     geom = ArrayGeometry(8)
     rng = np.random.default_rng(8)
     theta = _grid_angle(1200)
@@ -422,12 +423,28 @@ def test_music_finds_a_plateau_peak_at_broadside():
     assert abs(theta_hat) < 1e-12
 
 
-@pytest.mark.parametrize("tile", [256, 300, 1000])
-def test_music_spectrum_tiles_equal_the_whole_grid_product(monkeypatch, tile):
-    # one chunk of criterion 7's campaign (M=8, T=128, 0/10/20 dB); a single tile
-    # over the whole grid is the untiled product, and 300 and 1000 leave a partial tile
-    cfg = CampaignConfig(m=8, t=128, snr_db=[0.0, 10.0, 20.0], trials=32, seed=20240817)
+def _criterion_7_chunk(snr_db):
+    """One 32-block chunk of criterion 7's streams (M=8, T=128) at snr_db, points 0/10/20/40 dB."""
+    cfg = CampaignConfig(m=8, t=128, snr_db=[0.0, 10.0, 20.0, 40.0], trials=32, seed=20240817)
     geom, h_s = ArrayGeometry(cfg.m), campaign_mod.resolve_h_s(cfg)
+    d, phi, noise = campaign_mod._trial_draws(cfg, cfg.snr_db.index(snr_db), range(cfg.trials))
+    return geom, synthesize_batch(geom, cfg.theta_d, h_s, d, phi,
+                                  sigma2_from_snr_db(snr_db, cfg.p_d, cfg.m), noise)
+
+
+def _hermitian(x):
+    return x.conj().transpose(0, 2, 1)
+
+
+def _noise_subspace(csi):
+    """E_n (n, M, M-2) of each block's sample covariance, straight from eigh."""
+    _, vec = np.linalg.eigh(csi @ _hermitian(csi) / csi.shape[2])
+    return vec[:, :, :csi.shape[1] - 2]
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0, 40.0])
+def test_music_scan_polynomial_equals_the_direct_noise_projection(monkeypatch, snr_db):
+    geom, csi = _criterion_7_chunk(snr_db)
     spectra = []
     real_select = estimator_mod._select_peaks
 
@@ -436,14 +453,77 @@ def test_music_spectrum_tiles_equal_the_whole_grid_product(monkeypatch, tile):
         return real_select(spectrum)
 
     monkeypatch.setattr(estimator_mod, "_select_peaks", select)
-    for point, snr in enumerate(cfg.snr_db):
-        d, phi, noise = campaign_mod._trial_draws(cfg, point, range(cfg.trials))
-        csi = synthesize_batch(geom, cfg.theta_d, h_s, d, phi,
-                               sigma2_from_snr_db(snr, cfg.p_d, cfg.m), noise)
-        for width in (tile, GRID):
-            monkeypatch.setattr(estimator_mod, "_GRID_TILE", width)
-            estimate_batch(csi, geom)
-    assert len(spectra) == 6
-    for tiled, whole in zip(spectra[::2], spectra[1::2]):
-        assert tiled.shape == (cfg.trials, GRID)
-        assert tiled.tobytes() == whole.tobytes()
+    estimate_batch(csi, geom)
+    grid = _grid_angle(np.arange(GRID))
+    direct = np.sum(np.abs(_hermitian(_noise_subspace(csi)) @ steering_vector(geom, grid).T) ** 2,
+                    axis=1)
+    (spectrum,) = spectra
+    assert np.max(np.abs(1.0 / spectrum - direct)) < 1e-12
+    for got, want in zip(_select_peaks(spectrum), _select_peaks(1.0 / direct)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("theta", [0.3317, -1.2, 0.9])
+def test_pipeline_noiseless_off_grid_full_recovery(theta):
+    # criterion 7's noiseless draws: Newton lands on the null of the noise projector
+    geom = ArrayGeometry(8)
+    rng = np.random.default_rng(1007)
+    h_s = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2)
+    d = draw_dynamic_gains(128, GainDistribution(1.0), rng, constrained=True)
+    phi = rng.normal(0, 0.4, 128).cumsum()
+    phi -= phi.mean()
+    blk, _ = _noiseless_block(geom, theta, h_s, d, phi)
+    est = run_estimator(blk, geom)
+    assert abs(est.theta_hat - theta) <= 1e-12 and est.diagnostics.refined
+    np.testing.assert_allclose(est.phi_hat, phi, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(est.d_hat, d, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("snr_db", [20.0, 40.0])
+def test_newton_finds_the_minimiser_of_the_noise_projection(snr_db):
+    # oracle: Brent's bounded search over the chosen node's cell, on f evaluated in
+    # extended precision from the same E_n.  The offset is measured from theta_hat,
+    # so Brent's relative tolerance sqrt(eps) |x| stays far below 1e-10.
+    geom, csi = _criterion_7_chunk(snr_db)
+    est = estimate_batch(csi, geom)
+    diag = est.diagnostics
+    node = diag.peak_angles[np.arange(len(csi)), np.argmax(diag.peak_variances, axis=1)]
+    e_n = _noise_subspace(csi).astype(np.clongdouble)
+    phase = np.pi * np.arange(geom.m).astype(np.longdouble)
+    for k, theta_hat in enumerate(est.theta_hat):
+        def f(x):
+            a = np.exp(1j * phase * np.sin(np.longdouble(theta_hat) + np.longdouble(x)))
+            return float(np.sum(np.abs(e_n[k].conj().T @ a) ** 2))
+
+        cell = (node[k] - GRID_STEP / 2 - theta_hat, node[k] + GRID_STEP / 2 - theta_hat)
+        best = minimize_scalar(f, bounds=cell, method="bounded", options={"xatol": 1e-14})
+        assert abs(best.x) <= 1e-10, (k, best.x)
+    assert diag.refined.all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(3, 8), t=st.integers(3, 64), last_cell=st.booleans(),
+       cell_offset=st.floats(0.01, 0.99), snr_db=st.floats(-10.0, 40.0),
+       collinear=st.integers(0, 12), walk=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_estimate_batch_gives_a_tagged_error_or_an_angle_on_the_grid(
+        m, t, last_cell, cell_offset, snr_db, collinear, walk, seed):
+    # endfire paths, low SNR, near-collinear h_s and fast phase walks: no exception
+    # escapes, and no Newton iterate leaves the grid's span for steering_vector's check
+    geom = ArrayGeometry(m)
+    rng = np.random.default_rng(seed)
+    theta = (np.pi / 2 - GRID_STEP if last_cell else -np.pi / 2) + cell_offset * GRID_STEP
+    e = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    h_s = (0.8 - 0.3j) * steering_vector(geom, theta) + 10.0 ** -collinear * e
+    d = draw_dynamic_gains(t, GainDistribution(1.0), rng, constrained=True)
+    phi = np.stack([_phase_walk(rng, t, walk) for _ in range(3)])
+    csi = synthesize_batch(geom, theta, h_s, np.stack([d, -d, 1j * d]), phi,
+                           sigma2_from_snr_db(snr_db, 1.0, m),
+                           rng.standard_normal((3, 2, m, t)))
+    est = estimate_batch(csi, geom)
+    for err, theta_hat in zip(est.errors, est.theta_hat):
+        if err is not None:
+            assert isinstance(err, EstimationStageError)
+            assert err.stage in ("music", "beamspace", "phase", "cgs")
+        else:
+            assert _grid_angle(0) <= theta_hat <= _grid_angle(GRID - 1)

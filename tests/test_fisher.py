@@ -516,7 +516,8 @@ def test_efim_theta_scales_inversely_with_sigma2():
                                                          rel=1e-12)
 
 
-_GEOMETRY_FIELDS = ("a", "b", "ab", "ah", "bh", "c", "gamma", "delta", "xi", "scale")
+_GEOMETRY_FIELDS = ("a", "b", "ab", "ah", "bh", "c", "gamma", "delta", "xi", "scale", "w",
+                    "gamma_perp")
 
 
 def _row(g, field, i=()):

@@ -833,20 +833,22 @@ def test_tracer_reads_the_music_record(monkeypatch):
     tracing = _load_perfbench(monkeypatch, "tracing")
     rng = np.random.default_rng(2)
     noise = CsiBlock(rng.standard_normal((8, 128)) + 1j * rng.standard_normal((8, 128)))
-    # a noiseless dynamic path on a grid node is a pole, which refinement skips
-    theta = -np.pi / 2 + 1400.5 * np.pi / 2048
-    d = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    pole = CsiBlock(np.outer(steering_vector(ArrayGeometry(6), theta), d))
+    # signal on (1, -1, 0, ...) and (0, 0, 1, 0, ...) only: a^H P_n a = 6 + cos(pi sin theta)
+    # is least at endfire, so the spectrum has no interior maximum, MUSIC takes an
+    # end node, and Newton stops on the grid's end, which leaves the block unrefined
+    basis = np.zeros((8, 2))
+    basis[[0, 1, 2], [0, 0, 1]] = 1, -1, 1
+    edge = CsiBlock(basis @ (rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32))))
     estimator = importlib.import_module("asyncsense.estimator")
     tracer = tracing.Tracer()
     tracer.install()
     try:
         with tracer.request("music"):
             _, noise_diag = estimator.music_aoa(noise, ArrayGeometry(8))
-            _, pole_diag = estimator.music_aoa(pole, ArrayGeometry(6))
+            _, edge_diag = estimator.music_aoa(edge, ArrayGeometry(8))
     finally:
         tracer.uninstall()
     assert not noise_diag.has_dominant_gap and noise_diag.refined
-    assert pole_diag.has_dominant_gap and not pole_diag.refined
+    assert edge_diag.has_dominant_gap and not edge_diag.refined
     assert tracer.counts["music.calls"] == 2
     assert tracer.counts["music.no_gap"] == 1 and tracer.counts["music.not_refined"] == 1
